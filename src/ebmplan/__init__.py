@@ -4,49 +4,38 @@ The package is organized bottom-up: ``nn`` (MLPs, backprop, Adam), ``energy``
 (transition/trajectory scores and the contrastive objective), ``planner``
 (smooth-noise MPPI over state trajectories), ``envs`` (particle, maze and
 two-joint arm benchmarks), ``online`` (the interactive training loop),
-``baselines`` (action-conditioned forward model, random policy, RLS inverse
-dynamics), and ``experiments``/``cli`` (config-driven benchmark runs).
+``baselines`` (action-conditioned forward model planned by the same MPPI
+kernel, random policy), and ``experiments``/``cli`` (config-driven benchmark
+runs).
 """
 
 from .baselines import (
     ActionFFModel,
-    RlsState,
     ff_plan,
     ff_predict,
     ff_train_step,
     make_action_ff,
     online_train_action_ff,
     random_policy,
-    rls_infer,
-    rls_init,
-    rls_update,
 )
 from .energy import (
     EnergyModel,
     collate,
     contrastive_loss_and_grads,
-    fixed_goal_score,
-    goal_score,
     make_energy_model,
     pack_pairs,
-    reward_score,
     sample_negative_pairs,
-    trajectory_energy,
-    transition_energy,
 )
 from .envs import (
     EnvSpec,
     MazeLayout,
     default_maze_layout,
     load_maze_layout,
-    load_trajectory_csv,
     make_env,
     maze_env,
-    occupancy,
     particle_env,
     reacher_env,
     save_maze_layout,
-    save_trajectory_csv,
 )
 from .experiments import (
     ExperimentConfig,
@@ -55,10 +44,8 @@ from .experiments import (
     gen_random_dataset,
     pretrain,
     run_diversity,
-    run_eval,
     run_experiment,
     run_explore,
-    run_obstacle_gen,
 )
 from .nn import (
     AdamHyper,
@@ -85,7 +72,6 @@ from .planner import (
     finite_difference_matrix,
     mppi_weights,
     plan,
-    sample_smooth_noise,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,11 @@
 """Comparison agents: an action-conditioned forward model planned over action
-sequences, a uniform-random policy, and recursive-least-squares inverse
-dynamics.
+sequences, and a uniform-random policy.
 
 The forward model predicts the next state from the current state and action
 and is trained by mean squared error. Its planner runs the same
-perturb-and-reweight loop as the state-space planner, but the noise lives in
-action space and candidate action sequences are rolled through the model to
-obtain the predicted states that get scored.
+perturb-and-reweight kernel as the state-space planner (``mppi_refine``), but
+the noise lives in action space and candidate action sequences are rolled
+through the model to obtain the predicted states that get scored.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .online import (
     execute_plan,
     _cut_at_goal,
 )
-from .planner import PlannerConfig, SmoothNoiseGen, mppi_weights
+from .planner import PlannerConfig, mppi_refine
 
 
 @dataclass
@@ -129,10 +128,11 @@ def ff_plan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plan a (horizon-1, action_dim) action sequence by MPPI in action space.
 
-    Sampled action sequences are perturbed with the smooth-noise generator,
-    clipped by ``action_clip`` (the environment's admissible-action
-    projection; must accept batches), rolled through the model, and scored by squared distance of
-    the predicted final state to the goal. Returns the weighted-average
+    Sampled action sequences are perturbed by ``mppi_refine`` (smooth noise,
+    or isotropic noise for a single action), clipped by ``action_clip`` (the
+    environment's admissible-action projection; must accept batches), rolled
+    through the model, and scored by squared distance of the predicted final
+    state to the goal. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
     """
@@ -144,25 +144,17 @@ def ff_plan(
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
     if action_clip is None:
         action_clip = lambda a: a
-    horizon = config.horizon - 1
-    gen = SmoothNoiseGen(horizon, model.action_dim) if horizon >= 2 else None
-    candidate = np.zeros((horizon, model.action_dim))
-    scale = config.noise_scale
-    for _ in range(config.num_iterations):
-        if gen is not None:
-            noise = gen.sample(scale, rng, n=config.num_samples)
-        else:
-            noise = rng.normal(0.0, scale, size=(config.num_samples, horizon, model.action_dim))
-        samples = action_clip(candidate[None, :, :] + noise)
-        predicted = _rollout(model, s_start, samples)
-        scores = ((predicted[:, -1, :] - goal) ** 2).sum(axis=1)
-        finite = np.isfinite(scores)
-        if not finite.any():
-            raise ValueError("all sampled action sequences scored non-finite")
-        weights = np.zeros(len(scores))
-        weights[finite] = mppi_weights(scores[finite], config.temperature)
-        candidate = np.einsum("n,nha->ha", weights, samples)
-        scale *= config.noise_decay
+
+    def distance_to_goal(samples: np.ndarray) -> np.ndarray:
+        return ((_rollout(model, s_start, samples)[:, -1, :] - goal) ** 2).sum(axis=1)
+
+    candidate = mppi_refine(
+        np.zeros((config.horizon - 1, model.action_dim)),
+        action_clip,
+        distance_to_goal,
+        config,
+        rng,
+    )
     return candidate, _rollout(model, s_start, candidate[None])[0]
 
 
@@ -174,54 +166,6 @@ def random_policy(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
         radius = spec.action_bound * np.sqrt(rng.uniform())
         return radius * np.array([np.cos(angle), np.sin(angle)])
     return rng.uniform(-spec.action_bound, spec.action_bound, size=spec.action_dim)
-
-
-# ---------------------------------------------------------------------------
-# recursive least squares inverse dynamics
-
-
-@dataclass
-class RlsState:
-    """Linear map from (s, s', 1) features to actions, updated recursively."""
-
-    weights: np.ndarray  # (action_dim, 2 * state_dim + 1)
-    precision: np.ndarray  # shared feature inverse-covariance accumulator
-    forgetting: float = 1.0
-
-
-def rls_init(
-    state_dim: int, action_dim: int, prior_scale: float = 1e7, forgetting: float = 1.0
-) -> RlsState:
-    if not 0 < forgetting <= 1:
-        raise ValueError("forgetting factor must lie in (0, 1]")
-    n_features = 2 * state_dim + 1
-    return RlsState(
-        weights=np.zeros((action_dim, n_features)),
-        precision=prior_scale * np.eye(n_features),
-        forgetting=forgetting,
-    )
-
-
-def _rls_features(s: np.ndarray, s_next: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.asarray(s, dtype=float), np.asarray(s_next, dtype=float), [1.0]])
-
-
-def rls_update(state: RlsState, s: np.ndarray, s_next: np.ndarray, a: np.ndarray) -> RlsState:
-    """Standard RLS update fitting ``a ~ W (s, s', 1)``."""
-    phi = _rls_features(s, s_next)
-    lam = state.forgetting
-    p_phi = state.precision @ phi
-    gain = p_phi / (lam + phi @ p_phi)
-    residual = np.asarray(a, dtype=float) - state.weights @ phi
-    new_weights = state.weights + np.outer(residual, gain)
-    new_precision = (state.precision - np.outer(gain, p_phi)) / lam
-    # symmetrize against floating-point drift
-    new_precision = 0.5 * (new_precision + new_precision.T)
-    return RlsState(new_weights, new_precision, lam)
-
-
-def rls_infer(state: RlsState, s: np.ndarray, s_next: np.ndarray) -> np.ndarray:
-    return state.weights @ _rls_features(s, s_next)
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,6 @@ def transition_energies(model: EnergyModel, pairs: np.ndarray) -> np.ndarray:
     return mlp_forward(model.net, pairs)[:, 0]
 
 
-def transition_energy(model: EnergyModel, pair: np.ndarray) -> float:
-    pair = np.asarray(pair, dtype=float)
-    if pair.shape != (2 * model.state_dim,):
-        raise ValueError(f"expected pair of length {2 * model.state_dim}, got {pair.shape}")
-    return float(mlp_forward(model.net, pair)[0])
-
-
 def trajectory_energies(model: EnergyModel, trajs: np.ndarray) -> np.ndarray:
     """Summed pair energies of a (n, T, state_dim) trajectory batch."""
     trajs = np.asarray(trajs, dtype=float)
@@ -115,11 +108,6 @@ def trajectory_energies(model: EnergyModel, trajs: np.ndarray) -> np.ndarray:
     n, T, _ = trajs.shape
     energies = transition_energies(model, _collate_batch(trajs))
     return energies.reshape(n, T - 1).sum(axis=1)
-
-
-def trajectory_energy(model: EnergyModel, traj: np.ndarray) -> float:
-    traj = check_trajectory(traj, model.state_dim)
-    return float(trajectory_energies(model, traj[None, :, :])[0])
 
 
 def _check_goal(model: EnergyModel, goal: np.ndarray) -> np.ndarray:
@@ -141,24 +129,12 @@ def goal_scores(
     return trajectory_energies(model, trajs) + goal_weight * penalty
 
 
-def goal_score(
-    model: EnergyModel, traj: np.ndarray, goal: np.ndarray, goal_weight: float = 1.0
-) -> float:
-    traj = check_trajectory(traj, model.state_dim)
-    return float(goal_scores(model, traj[None], goal, goal_weight)[0])
-
-
 def fixed_goal_scores(model: EnergyModel, trajs: np.ndarray, goal: np.ndarray) -> np.ndarray:
     """Trajectory energy where the goal enters as one more transition pair."""
     goal = _check_goal(model, goal)
     trajs = np.asarray(trajs, dtype=float)
     tail = pack_pairs(trajs[:, -1, :], np.broadcast_to(goal, trajs[:, -1, :].shape))
     return trajectory_energies(model, trajs) + transition_energies(model, tail)
-
-
-def fixed_goal_score(model: EnergyModel, traj: np.ndarray, goal: np.ndarray) -> float:
-    traj = check_trajectory(traj, model.state_dim)
-    return float(fixed_goal_scores(model, traj[None], goal)[0])
 
 
 def reward_scores(
@@ -173,13 +149,6 @@ def reward_scores(
     if rewards.shape != trajs.shape[:2]:
         raise ValueError(f"reward output shape {rewards.shape} != {trajs.shape[:2]}")
     return trajectory_energies(model, trajs) - rewards.sum(axis=1)
-
-
-def reward_score(
-    model: EnergyModel, traj: np.ndarray, reward: Callable[[np.ndarray], np.ndarray]
-) -> float:
-    traj = check_trajectory(traj, model.state_dim)
-    return float(reward_scores(model, traj[None], reward)[0])
 
 
 def _pad_to(pairs: np.ndarray, size: int) -> np.ndarray:

@@ -150,19 +150,6 @@ def load_maze_layout(path: str | Path) -> MazeLayout:
     return MazeLayout(tuple(walls))
 
 
-def save_trajectory_csv(traj: np.ndarray, path: str | Path) -> None:
-    """Dump a (T, state_dim) trajectory as CSV, one state per row."""
-    traj = np.atleast_2d(np.asarray(traj, dtype=float))
-    header = ",".join(f"s{i}" for i in range(traj.shape[1]))
-    lines = [header] + [",".join(repr(float(v)) for v in row) for row in traj]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_trajectory_csv(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-
-
 def default_maze_layout() -> MazeLayout:
     # S-shaped corridor: three slabs alternately attached to the left and
     # right map edges, leaving 0.4-wide openings.
@@ -301,16 +288,8 @@ def vectorized_reward(spec: EnvSpec, goal: np.ndarray) -> Callable[[np.ndarray],
 # occupancy
 
 
-def occupancy(states: np.ndarray, cell_size: float) -> int:
-    """Number of distinct grid cells visited by the first two state coords."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    cells = np.floor(states[:, :2] / cell_size).astype(np.int64)
-    return len({(int(cx), int(cy)) for cx, cy in cells})
-
-
 def occupancy_cells(states: np.ndarray, cell_size: float) -> set[tuple[int, int]]:
+    """Distinct grid cells visited by the first two state coordinates."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
     states = np.atleast_2d(np.asarray(states, dtype=float))

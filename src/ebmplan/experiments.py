@@ -1,20 +1,21 @@
 """Config-driven experiment runners and their CSV/SVG outputs.
 
 Every experiment kind is reproducible: a fixed config plus seed list yields
-bit-identical CSV files. Per-seed outputs are written to temporary files and
-atomically renamed, then merged in seed order. Wall-clock timings go to the
-run log, never into metrics files.
+bit-identical output files. Per-seed rows are collected in memory and merged
+in seed order, and each file is written to a temporary file beside it and
+then renamed into place. Progress lines go to stdout; no wall-clock time
+enters any output file.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._io import write_atomic
 from .baselines import (
     ActionFFModel,
     ff_plan,
@@ -38,10 +39,9 @@ from .envs import (
     make_env,
     maze_env,
     occupancy_cells,
-    vectorized_reward,
 )
 from .nn import AdamHyper, adam_step, init_adam_state, load_mlp, save_mlp
-from .online import OnlineConfig, online_train
+from .online import OnlineConfig, online_train, plan_target
 from .planner import PlannerConfig, plan
 from .svg import write_heatmap_svg
 
@@ -84,11 +84,9 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
     """Write rows atomically: temp file in the same directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
     lines = [",".join(header)]
     lines += [",".join(_format_cell(v) for v in row) for row in rows]
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def merge_seed_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:
@@ -219,14 +217,6 @@ def pretrain(model_kind: str, dataset, mode: str, steps: int, rng, **kwargs) -> 
 # evaluation
 
 
-def _plan_target(spec: EnvSpec, goal: np.ndarray, config: PlannerConfig):
-    if config.score_mode == "reward":
-        return vectorized_reward(spec, goal)
-    if config.score_mode == "prior-only":
-        return None
-    return goal
-
-
 def run_policy_episode(
     spec: EnvSpec,
     goal: np.ndarray,
@@ -260,7 +250,7 @@ def evaluate_model(
     goal = np.asarray(goal, dtype=float)
 
     if isinstance(model, EnergyModel):
-        target = _plan_target(spec, goal, planner_config)
+        target = plan_target(spec, goal, planner_config)
 
         def policy(state):
             traj = plan(model, state, target, planner_config, rng)
@@ -273,50 +263,6 @@ def evaluate_model(
             return actions[0]
 
     return [run_policy_episode(spec, goal, policy, episode_length) for _ in range(episodes)]
-
-
-def run_eval(
-    model,
-    spec: EnvSpec,
-    goal: np.ndarray,
-    planner_config: PlannerConfig,
-    episodes: int,
-    episode_length: int,
-    seeds: list[int],
-) -> float:
-    """Mean episode score over episodes and seeds."""
-    all_scores = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        all_scores.extend(
-            evaluate_model(model, spec, goal, planner_config, episodes, episode_length, rng)
-        )
-    return float(np.mean(all_scores))
-
-
-def run_obstacle_gen(
-    ebm_model,
-    ff_model,
-    spec: EnvSpec,
-    goal: np.ndarray,
-    obstacle: tuple[float, float, float, float],
-    planner_config: PlannerConfig,
-    episodes: int,
-    episode_length: int,
-    seeds: list[int],
-) -> tuple[float, float]:
-    """Mean scores of both planners in the environment with an added wall.
-
-    Both models must have been trained on the obstacle-free environment; the
-    energy model plans in state space and is executed against the blocking
-    dynamics, the forward model plans in action space.
-    """
-    blocked = maze_env(MazeLayout((tuple(obstacle),)), start=tuple(spec.start_state))
-    score_ebm = run_eval(ebm_model, blocked, goal, planner_config, episodes,
-                         episode_length, seeds)
-    score_ff = run_eval(ff_model, blocked, goal, planner_config, episodes,
-                        episode_length, seeds)
-    return score_ebm, score_ff
 
 
 # ---------------------------------------------------------------------------
@@ -355,31 +301,15 @@ def run_explore(
     if policy_kind == "ebm-prior":
         if online_config is None:
             raise ValueError("ebm-prior exploration needs an online config")
-        config = _replace_online(
+        config = replace(
             online_config,
-            planner=PlannerConfig(
-                **{**_planner_dict(online_config.planner), "score_mode": "prior-only"}
-            ),
+            planner=replace(online_config.planner, score_mode="prior-only"),
             env_step_budget=budget,
             occupancy_cell=cell_size,
         )
         result = online_train(spec, None, config, rng)
         return [(row.step, row.occupancy) for row in result.metrics]
     raise ValueError(f"unknown exploration policy {policy_kind!r}")
-
-
-def _planner_dict(config: PlannerConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
-def _online_dict(config: OnlineConfig) -> dict:
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
-def _replace_online(config: OnlineConfig, **updates) -> OnlineConfig:
-    data = _online_dict(config)
-    data.update(updates)
-    return OnlineConfig(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +329,7 @@ def run_diversity(
         raise ValueError("need at least two trials")
     spreads = {}
     for horizon in horizons:
-        config = PlannerConfig(**{**_planner_dict(planner_config), "horizon": horizon})
+        config = replace(planner_config, horizon=horizon)
         midpoints = []
         for trial_seed in trial_seeds:
             rng = np.random.default_rng(trial_seed)
@@ -515,12 +445,21 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(data.get("planner"), dict):
-            data["planner"] = PlannerConfig(**data["planner"])
+        try:
+            if isinstance(data.get("planner"), dict):
+                data["planner"] = PlannerConfig(**data["planner"])
+        except TypeError as exc:
+            raise ValueError(f"planner: {exc}") from None
         for key in ("hidden_sizes", "heatmap_displacement", "obstacle"):
             if key in data and data[key] is not None:
                 data[key] = tuple(data[key])
-        return cls(**data)
+        config = cls(**data)
+        # build the online section now, so a bad one fails before any output
+        try:
+            config.online_config()
+        except TypeError as exc:
+            raise ValueError(f"online: {exc}") from None
+        return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

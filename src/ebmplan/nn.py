@@ -13,11 +13,14 @@ are ``"tanh"`` (the smooth nonlinearity used for hidden layers) and
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from ._io import write_atomic
 
 ACTIVATIONS = ("tanh", "identity")
 
@@ -155,10 +158,6 @@ def add_grads(a: MlpGrads, b: MlpGrads) -> MlpGrads:
     )
 
 
-def scale_grads(g: MlpGrads, factor: float) -> MlpGrads:
-    return MlpGrads([factor * w for w in g.weights], [factor * b for b in g.biases])
-
-
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != params.in_dim:
@@ -270,7 +269,10 @@ CHECKPOINT_VERSION = 1
 
 
 def save_mlp(params: MlpParams, path: str | Path) -> None:
-    """Write a versioned binary checkpoint; ``load_mlp`` restores it bit-exactly."""
+    """Write a versioned binary checkpoint; ``load_mlp`` restores it bit-exactly.
+
+    The file is replaced atomically, so a failed save keeps the previous one.
+    """
     params.validate()
     arrays: dict[str, np.ndarray] = {
         "version": np.array(CHECKPOINT_VERSION),
@@ -280,8 +282,9 @@ def save_mlp(params: MlpParams, path: str | Path) -> None:
     for i in range(params.num_layers):
         arrays[f"w{i}"] = params.weights[i]
         arrays[f"b{i}"] = params.biases[i]
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    write_atomic(path, buffer.getvalue())
 
 
 def load_mlp(path: str | Path) -> MlpParams:

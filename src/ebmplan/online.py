@@ -128,6 +128,15 @@ def _cut_at_goal(
     return real, prefix
 
 
+def plan_target(spec: EnvSpec, goal: np.ndarray | None, config: PlannerConfig):
+    """What ``plan`` scores against: the goal, a reward function, or nothing."""
+    if config.score_mode == "reward":
+        return vectorized_reward(spec, goal)
+    if config.score_mode == "prior-only":
+        return None
+    return goal
+
+
 @dataclass
 class OnlineStepResult:
     model: EnergyModel
@@ -148,28 +157,20 @@ def online_train_step(
     config: OnlineConfig,
     rng: np.random.Generator,
     max_horizon: int | None = None,
-    stop_at_goal: bool = False,
 ) -> OnlineStepResult:
     """One plan/execute/train iteration; buffers are appended in place.
 
     Fresh executed pairs join the positive batch and fresh planned pairs the
     negative batch, each padded with an equal number of replay samples (none
     while a buffer is still empty). ``max_horizon`` truncates execution, e.g.
-    at an episode boundary.
+    at an episode boundary, and execution also ends at the first goal hit.
     """
     b_pos, b_neg = buffers
-    if config.planner.score_mode == "reward":
-        target = vectorized_reward(spec, goal)
-    elif config.planner.score_mode == "prior-only":
-        target = None
-    else:
-        target = goal
-    planned = plan(model, state, target, config.planner, rng)
+    planned = plan(model, state, plan_target(spec, goal, config.planner), config.planner, rng)
     if max_horizon is not None and max_horizon + 1 < planned.shape[0]:
         planned = planned[: max_horizon + 1]
     real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
-    if stop_at_goal:
-        real, prefix = _cut_at_goal(spec, goal, config.goal_tolerance, real, prefix)
+    real, prefix = _cut_at_goal(spec, goal, config.goal_tolerance, real, prefix)
 
     fresh_pos = collate(real)
     fresh_neg = collate(prefix)
@@ -299,7 +300,6 @@ def online_train(
             config,
             step_rng,
             max_horizon=max_h,
-            stop_at_goal=True,
         )
         holder["model"] = result.model
         holder["adam"] = result.adam_state

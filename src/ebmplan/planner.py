@@ -5,7 +5,8 @@ temporally smooth Gaussian noise, scores every perturbed sample, and replaces
 the candidate with the weight-averaged sample, where weights are the
 exponentiated negative scores. Index 0 is clamped to the start state
 throughout, so the result is always conditioned on where the agent actually
-is.
+is. The perturb-and-reweight loop is ``mppi_refine``, which the action-space
+planner of ``baselines`` runs as well.
 
 Smoothness comes from drawing noise with covariance ``scale^2 * (A^T A)^-1``
 for the second-order finite-difference matrix ``A`` whose final two rows are
@@ -125,12 +126,6 @@ class SmoothNoiseGen:
         return out[0] if n is None else out
 
 
-def sample_smooth_noise(
-    gen: SmoothNoiseGen, scale: float, rng: np.random.Generator
-) -> np.ndarray:
-    return gen.sample(scale, rng)
-
-
 def mppi_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Normalized exponentiated negative scores (stabilized by the minimum)."""
     scores = np.asarray(scores, dtype=float)
@@ -142,6 +137,43 @@ def mppi_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     # where arithmetic slows down by orders of magnitude on some hosts
     w = np.exp(np.maximum(-(scores - scores.min()) / temperature, -650.0))
     return w / w.sum()
+
+
+def mppi_refine(
+    candidate: np.ndarray,
+    project: Callable[[np.ndarray], np.ndarray],
+    score: Callable[[np.ndarray], np.ndarray],
+    config: PlannerConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Refine a (T, d) candidate by perturb-and-reweight; shared by both planners.
+
+    Each of ``config.num_iterations`` iterations draws ``num_samples``
+    perturbations (smooth noise for T >= 2, isotropic Gaussian for T = 1),
+    maps the perturbed candidates through ``project`` (which may modify its
+    (n, T, d) argument in place), scores them with ``score`` (lower is
+    better), and replaces the candidate by the MPPI-weighted average. Samples
+    with non-finite scores get weight zero; if every score is non-finite the
+    kernel raises. The noise scale decays by ``noise_decay`` per iteration.
+    """
+    horizon, dim = candidate.shape
+    gen = SmoothNoiseGen(horizon, dim) if horizon >= 2 else None
+    scale = config.noise_scale
+    for _ in range(config.num_iterations):
+        if gen is not None:
+            noise = gen.sample(scale, rng, n=config.num_samples)
+        else:
+            noise = rng.normal(0.0, scale, size=(config.num_samples, horizon, dim))
+        samples = project(candidate[None] + noise)
+        scores = score(samples)
+        finite = np.isfinite(scores)
+        if not finite.any():
+            raise ValueError("all sampled candidates scored non-finite")
+        weights = np.zeros(len(scores))
+        weights[finite] = mppi_weights(scores[finite], config.temperature)
+        candidate = np.einsum("n,ntd->td", weights, samples)
+        scale *= config.noise_decay
+    return candidate
 
 
 def _score_samples(
@@ -196,20 +228,17 @@ def plan(
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
     target = _check_target(config, target, model.state_dim)
 
-    gen = SmoothNoiseGen(config.horizon, model.state_dim)
-    candidate = np.tile(s_start, (config.horizon, 1))
-    scale = config.noise_scale
-    for _ in range(config.num_iterations):
-        noise = gen.sample(scale, rng, n=config.num_samples)
-        samples = candidate[None, :, :] + noise
+    def clamp_start(samples: np.ndarray) -> np.ndarray:
         samples[:, 0, :] = s_start
-        scores = _score_samples(model, samples, target, config)
-        finite = np.isfinite(scores)
-        if not finite.any():
-            raise ValueError("all sampled trajectories scored non-finite")
-        weights = np.zeros(len(scores))
-        weights[finite] = mppi_weights(scores[finite], config.temperature)
-        candidate = np.einsum("n,ntd->td", weights, samples)
-        candidate[0] = s_start
-        scale *= config.noise_decay
+        return samples
+
+    candidate = mppi_refine(
+        np.tile(s_start, (config.horizon, 1)),
+        clamp_start,
+        lambda samples: _score_samples(model, samples, target, config),
+        config,
+        rng,
+    )
+    # the refined row 0 is a weighted mean of clamped rows; pin it exactly
+    candidate[0] = s_start
     return candidate

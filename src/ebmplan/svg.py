@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import write_atomic
+
 # dark-to-light anchor colors, interpolated linearly in RGB
 _PALETTE = (
     (68, 1, 84),
@@ -34,7 +36,7 @@ def write_heatmap_svg(matrix: np.ndarray, path: str | Path, cell_px: int = 10) -
     """Render a matrix as a colored cell grid, low values dark, high bright.
 
     Row 0 is drawn at the bottom so matrices indexed as (y, x) keep their
-    mathematical orientation.
+    mathematical orientation. The file is replaced atomically.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
@@ -55,4 +57,4 @@ def write_heatmap_svg(matrix: np.ndarray, path: str | Path, cell_px: int = 10) -
                 f'height="{cell_px}" fill="{color}"/>'
             )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_atomic(path, ("\n".join(parts) + "\n").encode())

@@ -9,9 +9,6 @@ from ebmplan.baselines import (
     ff_train_step,
     make_action_ff,
     random_policy,
-    rls_infer,
-    rls_init,
-    rls_update,
 )
 from ebmplan.envs import make_env, particle_env
 from ebmplan.nn import AdamHyper, MlpParams, adam_step, init_adam_state, mlp_forward
@@ -152,14 +149,29 @@ def test_ff_plan_reaches_nearby_goal_with_exact_model():
 
 def test_ff_plan_trajectory_is_rollout_of_actions():
     model = make_action_ff(2, 2, np.random.default_rng(8), (8, 8))
-    config = PlannerConfig(num_samples=16, num_iterations=4, horizon=6, noise_scale=0.05)
-    actions, predicted = ff_plan(
-        model, np.array([0.2, 0.2]), np.zeros(2), config, np.random.default_rng(3)
-    )
-    state = np.array([0.2, 0.2])
-    for t in range(actions.shape[0]):
-        state = ff_predict(model, state, actions[t])
-        assert np.array_equal(predicted[t + 1], state)
+    # horizon 2 plans a single action, perturbed by isotropic noise
+    for horizon in (6, 2):
+        config = PlannerConfig(
+            num_samples=16, num_iterations=4, horizon=horizon, noise_scale=0.05
+        )
+        actions, predicted = ff_plan(
+            model, np.array([0.2, 0.2]), np.zeros(2), config, np.random.default_rng(3)
+        )
+        assert actions.shape == (horizon - 1, 2)
+        assert predicted.shape == (horizon, 2)
+        state = np.array([0.2, 0.2])
+        assert np.array_equal(predicted[0], state)
+        for t in range(actions.shape[0]):
+            state = ff_predict(model, state, actions[t])
+            assert np.array_equal(predicted[t + 1], state)
+
+
+def test_ff_plan_raises_when_all_scores_non_finite():
+    model = make_action_ff(2, 2, np.random.default_rng(8), (8,))
+    model.net.biases[-1][0] = np.nan
+    config = PlannerConfig(num_samples=8, num_iterations=2, horizon=4)
+    with pytest.raises(ValueError):
+        ff_plan(model, np.zeros(2), np.zeros(2), config, np.random.default_rng(1))
 
 
 def test_random_policy_particle_stays_in_ball():
@@ -190,65 +202,3 @@ def test_random_policy_deterministic_under_seed():
     b = [random_policy(spec, np.random.default_rng(12)) for _ in range(3)]
     assert np.array_equal(np.stack(a)[:1], np.stack(b)[:1])
 
-
-def test_rls_zero_observations_returns_prior_zero_action():
-    state = rls_init(state_dim=2, action_dim=2)
-    assert np.array_equal(rls_infer(state, np.ones(2), np.zeros(2)), np.zeros(2))
-
-
-def test_rls_recovers_exact_linear_inverse_dynamics():
-    rng = np.random.default_rng(13)
-    state = rls_init(state_dim=2, action_dim=2)
-    for _ in range(100):
-        s = rng.uniform(-1, 1, 2)
-        a = rng.uniform(-0.05, 0.05, 2)
-        state = rls_update(state, s, s + a, a)
-    for _ in range(20):
-        s = rng.uniform(-1, 1, 2)
-        a = rng.uniform(-0.05, 0.05, 2)
-        assert np.linalg.norm(rls_infer(state, s, s + a) - a) < 1e-6
-
-
-def test_rls_matches_batch_ridge_least_squares():
-    rng = np.random.default_rng(14)
-    prior = 1e3
-    state = rls_init(state_dim=1, action_dim=1, prior_scale=prior)
-    features, targets = [], []
-    for _ in range(40):
-        s = rng.uniform(-1, 1, 1)
-        s_next = rng.uniform(-1, 1, 1)
-        a = rng.normal(size=1)
-        state = rls_update(state, s, s_next, a)
-        features.append(np.concatenate([s, s_next, [1.0]]))
-        targets.append(a)
-    phi = np.stack(features)
-    y = np.stack(targets)
-    ridge = np.linalg.solve(phi.T @ phi + np.eye(3) / prior, phi.T @ y)
-    assert np.allclose(state.weights, ridge.T, atol=1e-8)
-
-
-def test_rls_precision_stays_positive_definite():
-    rng = np.random.default_rng(15)
-    state = rls_init(state_dim=2, action_dim=2)
-    for _ in range(200):
-        s = rng.uniform(-1, 1, 2)
-        state = rls_update(state, s, s + rng.normal(0, 0.05, 2), rng.normal(size=2))
-    assert np.linalg.eigvalsh(state.precision).min() > 0.0
-
-
-def test_rls_infer_linear_in_features():
-    rng = np.random.default_rng(16)
-    state = rls_init(state_dim=2, action_dim=2)
-    for _ in range(10):
-        s = rng.uniform(-1, 1, 2)
-        state = rls_update(state, s, s + rng.normal(0, 0.05, 2), rng.normal(size=2))
-    phi1 = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), [1.0]])
-    phi2 = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2), [1.0]])
-    lhs = state.weights @ (phi1 + 2.0 * phi2)
-    rhs = state.weights @ phi1 + 2.0 * (state.weights @ phi2)
-    assert np.allclose(lhs, rhs, rtol=1e-12)
-
-
-def test_rls_init_validation():
-    with pytest.raises(ValueError):
-        rls_init(2, 2, forgetting=0.0)

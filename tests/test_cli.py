@@ -167,9 +167,23 @@ def test_missing_config_file_exits_nonzero(tmp_path, capsys):
 
 
 def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, "bad.json", {"kind": "online", "bogus": 1})
-    assert main(["online", "--config", cfg_path, "--quiet"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # (config entries, a word the diagnostic must contain)
+    bad_configs = [
+        ({"bogus": 1}, "bogus"),
+        ({"online": {"bogus": 1}}, "online"),
+        ({"planner": {"bogus": 1}}, "planner"),
+        ({"planner": {"noise_scale": "0.01"}}, "planner"),
+        ({"online": {"env_step_budget": "12"}}, "online"),
+    ]
+    for i, (extra, word) in enumerate(bad_configs):
+        config = {"kind": "online", "goal": [0.0, 0.0], **extra}
+        cfg_path = write_config(tmp_path, f"bad{i}.json", config)
+        out = tmp_path / f"out{i}"
+        assert main(["online", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
+        # rejected while loading, before any output is written
+        assert not out.exists()
 
 
 def test_eval_requires_checkpoint(tmp_path, capsys):

@@ -5,16 +5,14 @@ from ebmplan.energy import (
     EnergyModel,
     collate,
     contrastive_loss_and_grads,
-    fixed_goal_score,
-    goal_score,
+    fixed_goal_scores,
+    goal_scores,
     make_energy_model,
     pack_pairs,
-    reward_score,
+    reward_scores,
     sample_negative_pairs,
     trajectory_energies,
-    trajectory_energy,
     transition_energies,
-    transition_energy,
 )
 from ebmplan.nn import AdamHyper, adam_step, init_adam_state, mlp_forward
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
@@ -37,27 +35,27 @@ def random_traj(seed, length, state_dim=2):
 
 def test_zero_model_energy_is_zero():
     model = zero_model()
-    assert transition_energy(model, np.array([0.3, -0.1, 0.2, 0.9])) == 0.0
+    assert transition_energies(model, np.array([0.3, -0.1, 0.2, 0.9])[None])[0] == 0.0
 
 
 def test_transition_energy_is_forward_on_concatenation():
     model = seeded_model(4)
     a, b = np.array([0.1, 0.2]), np.array([-0.4, 0.5])
     pair = pack_pairs(a, b)
-    assert transition_energy(model, pair) == float(mlp_forward(model.net, pair)[0])
+    assert transition_energies(model, pair[None])[0] == float(mlp_forward(model.net, pair)[0])
 
 
 def test_transition_energy_matches_naive_reference():
     model = seeded_model(17)
     pair = np.array([0.25, -0.5, 0.75, 0.1])
     expected = naive_mlp_forward(model.net, pair)[0]
-    assert np.isclose(transition_energy(model, pair), expected, rtol=1e-12)
+    assert np.isclose(transition_energies(model, pair[None])[0], expected, rtol=1e-12)
 
 
 def test_transition_energy_dimension_mismatch_raises():
     model = seeded_model(1)
     with pytest.raises(ValueError):
-        transition_energy(model, np.zeros(3))
+        transition_energies(model, np.zeros(3)[None])
     with pytest.raises(ValueError):
         transition_energies(model, np.zeros((5, 3)))
 
@@ -72,26 +70,26 @@ def test_trajectory_energy_single_pair():
     model = seeded_model(5)
     traj = random_traj(2, 2)
     assert np.isclose(
-        trajectory_energy(model, traj),
-        transition_energy(model, pack_pairs(traj[0], traj[1])),
+        trajectory_energies(model, traj[None])[0],
+        transition_energies(model, pack_pairs(traj[0], traj[1])[None])[0],
         rtol=1e-12,
     )
 
 
 def test_trajectory_energy_zero_model_and_length_check():
     model = zero_model()
-    assert trajectory_energy(model, random_traj(3, 7)) == 0.0
+    assert trajectory_energies(model, random_traj(3, 7)[None])[0] == 0.0
     with pytest.raises(ValueError):
-        trajectory_energy(model, random_traj(3, 7)[:1])
+        trajectory_energies(model, random_traj(3, 7)[:1][None])
 
 
 def test_trajectory_energy_splits_at_shared_endpoint():
     model = seeded_model(6)
     traj = random_traj(8, 9)
     k = 4
-    total = trajectory_energy(model, traj)
-    left = trajectory_energy(model, traj[: k + 1])
-    right = trajectory_energy(model, traj[k:])
+    total = trajectory_energies(model, traj[None])[0]
+    left = trajectory_energies(model, traj[: k + 1][None])[0]
+    right = trajectory_energies(model, traj[k:][None])[0]
     assert np.isclose(total, left + right, rtol=1e-10)
 
 
@@ -99,7 +97,9 @@ def test_goal_score_at_goal_equals_trajectory_energy():
     model = seeded_model(7)
     traj = random_traj(4, 5)
     assert np.isclose(
-        goal_score(model, traj, traj[-1]), trajectory_energy(model, traj), rtol=1e-12
+        goal_scores(model, traj[None], traj[-1])[0],
+        trajectory_energies(model, traj[None])[0],
+        rtol=1e-12,
     )
 
 
@@ -107,7 +107,7 @@ def test_goal_score_zero_model_unit_distance():
     model = zero_model()
     traj = np.zeros((4, 2))
     goal = np.array([1.0, 0.0])
-    assert goal_score(model, traj, goal, goal_weight=1.0) == 1.0
+    assert goal_scores(model, traj[None], goal, goal_weight=1.0)[0] == 1.0
 
 
 def test_goal_score_componentwise_oracle():
@@ -115,25 +115,28 @@ def test_goal_score_componentwise_oracle():
     traj = random_traj(9, 6)
     goal = np.array([0.2, -0.7])
     w = 2.5
-    expected = trajectory_energy(model, traj) + w * float(((traj[-1] - goal) ** 2).sum())
-    assert np.isclose(goal_score(model, traj, goal, w), expected, rtol=1e-12)
+    energy = trajectory_energies(model, traj[None])[0]
+    expected = energy + w * float(((traj[-1] - goal) ** 2).sum())
+    assert np.isclose(goal_scores(model, traj[None], goal, w)[0], expected, rtol=1e-12)
 
 
 def test_goal_score_zero_weight_is_trajectory_energy():
     model = seeded_model(9)
     traj = random_traj(10, 4)
-    assert goal_score(model, traj, np.array([5.0, 5.0]), 0.0) == trajectory_energy(model, traj)
+    scores = goal_scores(model, traj[None], np.array([5.0, 5.0]), 0.0)
+    assert scores[0] == trajectory_energies(model, traj[None])[0]
 
 
 def test_fixed_goal_score_zero_model_and_two_term_expansion():
-    assert fixed_goal_score(zero_model(), random_traj(1, 3), np.zeros(2)) == 0.0
+    assert fixed_goal_scores(zero_model(), random_traj(1, 3)[None], np.zeros(2))[0] == 0.0
     model = seeded_model(10)
     traj = random_traj(11, 2)
     goal = np.array([0.4, 0.4])
-    expected = transition_energy(model, pack_pairs(traj[0], traj[1])) + transition_energy(
-        model, pack_pairs(traj[1], goal)
+    expected = (
+        transition_energies(model, pack_pairs(traj[0], traj[1])[None])[0]
+        + transition_energies(model, pack_pairs(traj[1], goal)[None])[0]
     )
-    assert np.isclose(fixed_goal_score(model, traj, goal), expected, rtol=1e-12)
+    assert np.isclose(fixed_goal_scores(model, traj[None], goal)[0], expected, rtol=1e-12)
 
 
 def test_fixed_goal_score_term_by_term_oracle():
@@ -141,9 +144,9 @@ def test_fixed_goal_score_term_by_term_oracle():
     traj = random_traj(13, 5)
     goal = np.array([-0.3, 0.9])
     expected = sum(
-        transition_energy(model, pack_pairs(traj[t], traj[t + 1])) for t in range(4)
-    ) + transition_energy(model, pack_pairs(traj[-1], goal))
-    assert np.isclose(fixed_goal_score(model, traj, goal), expected, rtol=1e-10)
+        transition_energies(model, pack_pairs(traj[t], traj[t + 1])[None])[0] for t in range(4)
+    ) + transition_energies(model, pack_pairs(traj[-1], goal)[None])[0]
+    assert np.isclose(fixed_goal_scores(model, traj[None], goal)[0], expected, rtol=1e-10)
 
 
 def test_reward_score_zero_reward_is_trajectory_energy():
@@ -151,7 +154,9 @@ def test_reward_score_zero_reward_is_trajectory_energy():
     traj = random_traj(15, 6)
     zero_reward = lambda states: np.zeros(states.shape[:-1])
     assert np.isclose(
-        reward_score(model, traj, zero_reward), trajectory_energy(model, traj), rtol=1e-12
+        reward_scores(model, traj[None], zero_reward)[0],
+        trajectory_energies(model, traj[None])[0],
+        rtol=1e-12,
     )
 
 
@@ -159,7 +164,7 @@ def test_reward_score_zero_model_is_negative_reward_sum():
     traj = random_traj(16, 5)
     reward = lambda states: states[..., 0]
     assert np.isclose(
-        reward_score(zero_model(), traj, reward), -traj[:, 0].sum(), rtol=1e-12
+        reward_scores(zero_model(), traj[None], reward)[0], -traj[:, 0].sum(), rtol=1e-12
     )
 
 
@@ -168,10 +173,10 @@ def test_reward_score_term_by_term_oracle():
     traj = random_traj(19, 4)
     reward = lambda states: np.sin(states[..., 0]) + states[..., 1] ** 2
     energies = sum(
-        transition_energy(model, pack_pairs(traj[t], traj[t + 1])) for t in range(3)
+        transition_energies(model, pack_pairs(traj[t], traj[t + 1])[None])[0] for t in range(3)
     )
     rewards = sum(float(np.sin(s[0]) + s[1] ** 2) for s in traj)
-    assert np.isclose(reward_score(model, traj, reward), energies - rewards, rtol=1e-10)
+    assert np.isclose(reward_scores(model, traj[None], reward)[0], energies - rewards, rtol=1e-10)
 
 
 def test_contrastive_identical_batches_reduce_to_squared_terms():

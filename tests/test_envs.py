@@ -8,7 +8,7 @@ from ebmplan.envs import (
     make_env,
     maze_env,
     maze_step,
-    occupancy,
+    occupancy_cells,
     particle_env,
     particle_step,
     reacher_env,
@@ -203,16 +203,16 @@ def test_rewards_non_positive_and_zero_iff_at_goal():
 
 
 def test_occupancy_examples():
-    assert occupancy(np.array([[0.31, 0.47]]), 0.1) == 1
-    assert occupancy(np.array([[0.31, 0.47], [0.33, 0.41]]), 0.1) == 1
+    assert len(occupancy_cells(np.array([[0.31, 0.47]]), 0.1)) == 1
+    assert len(occupancy_cells(np.array([[0.31, 0.47], [0.33, 0.41]]), 0.1)) == 1
     # sweep crossing exactly 4 cell boundaries -> 5 cells
     sweep = np.stack([np.linspace(0.05, 0.45, 9), np.zeros(9)], axis=1)
-    assert occupancy(sweep, 0.1) == 5
+    assert len(occupancy_cells(sweep, 0.1)) == 5
 
 
 def test_occupancy_rejects_bad_cell_size():
     with pytest.raises(ValueError):
-        occupancy(np.zeros((1, 2)), 0.0)
+        occupancy_cells(np.zeros((1, 2)), 0.0)
 
 
 def test_maze_layout_round_trip(tmp_path):
@@ -254,12 +254,3 @@ def test_reward_strictly_negative_away_from_goal():
     spec = particle_env()
     assert spec.reward(np.array([0.2, 0.2]), np.array([0.2, 0.21])) < 0.0
 
-
-def test_trajectory_csv_round_trip(tmp_path):
-    from ebmplan.envs import load_trajectory_csv, save_trajectory_csv
-
-    traj = np.random.default_rng(3).normal(size=(7, 4))
-    path = tmp_path / "traj.csv"
-    save_trajectory_csv(traj, path)
-    assert path.read_text().splitlines()[0] == "s0,s1,s2,s3"
-    assert np.array_equal(load_trajectory_csv(path), traj)

@@ -3,11 +3,12 @@ import pytest
 
 from ebmplan.baselines import make_action_ff
 from ebmplan.energy import EnergyModel, make_energy_model, transition_energies
-from ebmplan.envs import make_env, particle_env
+from ebmplan.envs import MazeLayout, make_env, maze_env, occupancy_cells, particle_env
 from ebmplan.experiments import (
     CSV_HEADERS,
     ExperimentConfig,
     energy_heatmap,
+    evaluate_model,
     gen_random_dataset,
     pretrain,
     pretrain_action_ff,
@@ -38,11 +39,9 @@ def test_gen_random_dataset_replays_exactly():
 
 
 def test_gen_random_dataset_coverage():
-    from ebmplan.envs import occupancy
-
     spec = particle_env()
     s, _, _ = gen_random_dataset(spec, 10_000, np.random.default_rng(2))
-    assert occupancy(s, 0.1) > 50
+    assert len(occupancy_cells(s, 0.1)) > 50
 
 
 def test_pretrain_zero_steps_returns_seeded_initialization():
@@ -238,10 +237,7 @@ def test_experiment_config_builds_envs_and_planner():
     assert online.planner.horizon == 8
 
 
-def test_run_obstacle_gen_vacuous_obstacle_matches_open_scores():
-    from ebmplan.baselines import make_action_ff
-    from ebmplan.experiments import run_eval, run_obstacle_gen
-
+def test_evaluate_model_vacuous_obstacle_matches_open_scores():
     spec = particle_env(start=(0.0, 0.0))
     goal = np.array([0.2, 0.0])
     planner = PlannerConfig(num_samples=16, num_iterations=4, horizon=5,
@@ -250,13 +246,16 @@ def test_run_obstacle_gen_vacuous_obstacle_matches_open_scores():
     ff = make_action_ff(2, 2, np.random.default_rng(1), (8,))
     # an obstacle far from every plausible path changes nothing
     far_wall = (-0.9, -0.9, -0.8, -0.8)
-    score_ebm, score_ff = run_obstacle_gen(
-        ebm, ff, spec, goal, far_wall, planner, 2, 10, [0, 1]
-    )
-    open_ebm = run_eval(ebm, spec, goal, planner, 2, 10, [0, 1])
-    open_ff = run_eval(ff, spec, goal, planner, 2, 10, [0, 1])
-    assert np.isclose(score_ebm, open_ebm, rtol=1e-12)
-    assert np.isclose(score_ff, open_ff, rtol=1e-12)
+    blocked = maze_env(MazeLayout((far_wall,)), start=(0.0, 0.0))
+    for model in (ebm, ff):
+        for seed in (0, 1):
+            open_scores = evaluate_model(
+                model, spec, goal, planner, 2, 10, np.random.default_rng(seed)
+            )
+            blocked_scores = evaluate_model(
+                model, blocked, goal, planner, 2, 10, np.random.default_rng(seed)
+            )
+            assert np.allclose(blocked_scores, open_scores, rtol=1e-12)
 
 
 def test_csv_headers_pinned():

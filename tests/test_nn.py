@@ -165,6 +165,23 @@ def test_adam_hyper_validation():
         AdamHyper(beta1=1.0)
 
 
+def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    first = small_net(123, dims=(4, 8, 1))
+    path = tmp_path / "net.npz"
+    save_mlp(first, path)
+
+    def broken_savez(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    with pytest.raises(OSError):
+        save_mlp(small_net(7, dims=(4, 8, 1)), path)
+    monkeypatch.undo()
+    loaded = load_mlp(path)
+    for a, b in zip(loaded.weights + loaded.biases, first.weights + first.biases):
+        assert np.array_equal(a, b)
+
+
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     net = small_net(123, dims=(4, 16, 16, 1))
     path = tmp_path / "net.npz"

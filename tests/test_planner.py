@@ -6,9 +6,9 @@ from ebmplan.planner import (
     PlannerConfig,
     SmoothNoiseGen,
     finite_difference_matrix,
+    mppi_refine,
     mppi_weights,
     plan,
-    sample_smooth_noise,
 )
 
 
@@ -59,7 +59,7 @@ def test_finite_difference_matrix_rejects_short_horizon():
 
 def test_smooth_noise_zero_scale_and_shape():
     gen = SmoothNoiseGen(6, 3)
-    sample = sample_smooth_noise(gen, 0.0, np.random.default_rng(1))
+    sample = gen.sample(0.0, np.random.default_rng(1))
     assert sample.shape == (6, 3)
     assert np.array_equal(sample, np.zeros((6, 3)))
     batch = gen.sample(0.5, np.random.default_rng(2), n=4)
@@ -118,6 +118,20 @@ def test_plan_zero_iterations_returns_constant_trajectory():
     traj = plan(zero_model(), start, np.zeros(2), config, np.random.default_rng(5))
     assert traj.shape == (5, 2)
     assert np.array_equal(traj, np.tile(start, (5, 1)))
+
+
+def test_mppi_refine_zero_iterations_returns_candidate_unchanged():
+    config = PlannerConfig(num_iterations=0, horizon=4)
+    candidate = np.arange(8.0).reshape(4, 2)
+    rng = np.random.default_rng(5)
+
+    def never_called(samples):
+        raise AssertionError("no iteration should project or score")
+
+    out = mppi_refine(candidate.copy(), never_called, never_called, config, rng)
+    assert np.array_equal(out, candidate)
+    # no noise was drawn either
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_plan_single_sample_returns_that_sample():
