@@ -135,6 +135,8 @@ def ff_plan(
     state to the goal. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
+    The scoring rollouts use a float32 copy of the net, made once per call;
+    the returned rollout uses the caller's float64 model, which is untouched.
     """
     s_start = np.asarray(s_start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -144,9 +146,10 @@ def ff_plan(
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
     if action_clip is None:
         action_clip = lambda a: a
+    scorer = ActionFFModel(model.net.astype(np.float32), model.state_dim, model.action_dim)
 
     def distance_to_goal(samples: np.ndarray) -> np.ndarray:
-        return ((_rollout(model, s_start, samples)[:, -1, :] - goal) ** 2).sum(axis=1)
+        return ((_rollout(scorer, s_start, samples)[:, -1, :] - goal) ** 2).sum(axis=1)
 
     candidate = mppi_refine(
         np.zeros((config.horizon - 1, model.action_dim)),

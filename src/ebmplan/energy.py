@@ -93,11 +93,15 @@ def _collate_batch(trajs: np.ndarray) -> np.ndarray:
 
 
 def transition_energies(model: EnergyModel, pairs: np.ndarray) -> np.ndarray:
-    """Energies of a (n, 2*state_dim) batch of packed pairs."""
+    """Energies of a (n, 2*state_dim) batch of packed pairs, as float64.
+
+    The net computes in its own dtype; a float32 net's energies are upcast,
+    so sums over pairs and the terms added to them stay in float64.
+    """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 * model.state_dim:
         raise ValueError(f"expected (n, {2 * model.state_dim}) pair batch, got {pairs.shape}")
-    return mlp_forward(model.net, pairs)[:, 0]
+    return mlp_forward(model.net, pairs)[:, 0].astype(float)
 
 
 def trajectory_energies(model: EnergyModel, trajs: np.ndarray) -> np.ndarray:
@@ -211,16 +215,19 @@ def sample_negative_pairs(
     Gaussian noise, weight the perturbations by exponentiated negative
     energy, and move to the weighted average. Used to generate negatives
     when training on a static dataset, where no planned trajectories exist.
+    Candidates are scored by a float32 copy of the net; the caller's model is
+    left untouched and the refinement itself runs in float64.
     """
     seeds = np.atleast_2d(np.asarray(seed_pairs, dtype=float))
     b, width = seeds.shape
     if width != 2 * model.state_dim:
         raise ValueError(f"pair rows must have width {2 * model.state_dim}")
+    scorer = EnergyModel(model.net.astype(np.float32), model.state_dim)
     current = seeds.copy()
     for _ in range(num_iters):
         noise = rng.normal(0.0, scale, size=(b, num_samples, width))
         candidates = current[:, None, :] + noise
-        energies = transition_energies(model, candidates.reshape(b * num_samples, width))
+        energies = transition_energies(scorer, candidates.reshape(b * num_samples, width))
         energies = energies.reshape(b, num_samples)
         shifted = -(energies - energies.min(axis=1, keepdims=True)) / temperature
         weights = np.exp(np.maximum(shifted, -650.0))

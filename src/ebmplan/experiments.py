@@ -10,8 +10,10 @@ enters any output file.
 from __future__ import annotations
 
 import json
+import types
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -368,6 +370,37 @@ def energy_heatmap(
 # ---------------------------------------------------------------------------
 # experiment config
 
+_SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _accepts(kind: type, value) -> bool:
+    # JSON has one number type: an integer may fill a float field, a bool fills
+    # only a bool field
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_scalar_types(cls: type, data: dict, prefix: str = "") -> None:
+    """Reject a value whose type does not match a scalar field of ``cls``.
+
+    Only scalar fields (bool, int, float, str, optionally None) are checked;
+    unknown keys and container fields are left to the caller.
+    """
+    hints = get_type_hints(cls)
+    for key, value in data.items():
+        hint = hints.get(key)
+        options = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        kinds = [t for t in options if t in _SCALAR_NAMES]
+        if not kinds or (value is None and type(None) in options):
+            continue
+        if not any(_accepts(kind, value) for kind in kinds):
+            raise ValueError(
+                f"{prefix}{key}: expected {_SCALAR_NAMES[kinds[0]]}, got {type(value).__name__}"
+            )
+
 
 @dataclass
 class ExperimentConfig:
@@ -445,6 +478,13 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_scalar_types(cls, data)
+        if isinstance(data.get("planner"), dict):
+            _check_scalar_types(PlannerConfig, data["planner"], "planner.")
+        if isinstance(data.get("online"), dict):
+            _check_scalar_types(OnlineConfig, data["online"], "online.")
+            if isinstance(data["online"].get("adam"), dict):
+                _check_scalar_types(AdamHyper, data["online"]["adam"], "online.adam.")
         try:
             if isinstance(data.get("planner"), dict):
                 data["planner"] = PlannerConfig(**data["planner"])

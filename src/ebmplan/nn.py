@@ -1,9 +1,14 @@
 """Dense multilayer perceptrons with exact backpropagation and Adam updates.
 
-Everything here is plain float64 numpy. Parameters live in small dataclasses
-and are updated functionally: forward/backward passes never mutate their
-inputs, and ``adam_step`` returns fresh parameter and optimizer-state objects,
-so shared parameters are safe to read concurrently.
+Training is plain float64 numpy: backward, Adam and checkpoints never leave
+float64. The forward pass computes in the dtype of the parameters it is
+given, so planning-time scoring runs in float32 on an ``astype`` copy of the
+weights while the float64 originals keep every training bit.
+
+Parameters live in small dataclasses and are updated functionally:
+forward/backward passes never mutate their inputs, and ``adam_step`` returns
+fresh parameter and optimizer-state objects, so shared parameters are safe to
+read concurrently.
 
 Layer convention: weight matrices are (out_dim, in_dim), a batch is one row
 per sample, and a layer computes ``act(x @ W.T + b)``. Supported activations
@@ -85,6 +90,14 @@ class MlpParams:
             list(self.activations),
         )
 
+    def astype(self, dtype) -> "MlpParams":
+        """A copy with every weight and bias cast to ``dtype``; never aliases."""
+        return MlpParams(
+            [w.astype(dtype) for w in self.weights],
+            [b.astype(dtype) for b in self.biases],
+            list(self.activations),
+        )
+
 
 @dataclass
 class MlpGrads:
@@ -159,7 +172,8 @@ def add_grads(a: MlpGrads, b: MlpGrads) -> MlpGrads:
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    # the input takes the parameters' dtype, so the pass runs in their precision
+    x = np.asarray(x, dtype=params.weights[0].dtype)
     if x.shape[-1] != params.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} != network in_dim {params.in_dim}")
     return x
@@ -168,8 +182,9 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Batched forward pass returning the output and per-layer activations.
 
-    The cache holds the input followed by every layer output and is exactly
-    what ``backward`` needs.
+    Computes in the dtype of ``params``; the batch is cast to it. The cache
+    holds the input followed by every layer output and is exactly what
+    ``backward`` needs.
     """
     batch = _check_input(params, batch)
     if batch.ndim != 2:

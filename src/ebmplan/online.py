@@ -11,7 +11,6 @@ negatives coincide and cancel, so only planning errors drive learning.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -29,30 +28,52 @@ from .planner import PlannerConfig, plan
 
 
 class ReplayBuffer:
-    """Bounded FIFO of packed transition-pair rows with uniform resampling."""
+    """Bounded FIFO of packed transition-pair rows with uniform resampling.
+
+    Rows live in a preallocated ``(capacity, width)`` ring, allocated on the
+    first ``add``; logical index 0 is always the oldest surviving row.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._rows: np.ndarray | None = None
+        self._next = 0  # ring slot the next row is written to
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
+
+    def _slots(self, idx: np.ndarray) -> np.ndarray:
+        # logical (oldest-first) indices -> ring slots
+        return (self._next - self._size + idx) % self.capacity
 
     def add(self, rows: np.ndarray) -> None:
-        for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-            self._entries.append(row.copy())
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if self._rows is None:
+            self._rows = np.empty((self.capacity, rows.shape[1]))
+        elif rows.shape[1] != self._rows.shape[1]:
+            raise ValueError(f"row width {rows.shape[1]} != buffer width {self._rows.shape[1]}")
+        # rows that this same call would evict are never written
+        rows = rows[-self.capacity :]
+        n = rows.shape[0]
+        self._rows[(self._next + np.arange(n)) % self.capacity] = rows
+        self._next = (self._next + n) % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n rows uniformly with replacement; requires a non-empty buffer."""
-        if len(self._entries) == 0:
+        if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._entries), size=n)
-        return np.stack([self._entries[i] for i in idx])
+        idx = rng.integers(0, self._size, size=n)
+        return self._rows[self._slots(idx)]
 
     def as_array(self) -> np.ndarray:
-        return np.stack(list(self._entries)) if self._entries else np.empty((0, 0))
+        """The stored rows, oldest first."""
+        if self._size == 0:
+            return np.empty((0, 0))
+        return self._rows[self._slots(np.arange(self._size))]
 
 
 @dataclass(frozen=True)

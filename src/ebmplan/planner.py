@@ -221,12 +221,15 @@ def plan(
     non-finite scores get weight zero; if every score is non-finite the
     planner raises.
 
+    Samples are scored by a float32 copy of the net, made once per call; the
+    caller's model is left untouched, and scores and weights stay float64.
     Deterministic given the model, inputs and generator state.
     """
     s_start = np.asarray(s_start, dtype=float)
     if s_start.shape != (model.state_dim,):
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
     target = _check_target(config, target, model.state_dim)
+    scorer = EnergyModel(model.net.astype(np.float32), model.state_dim)
 
     def clamp_start(samples: np.ndarray) -> np.ndarray:
         samples[:, 0, :] = s_start
@@ -235,7 +238,7 @@ def plan(
     candidate = mppi_refine(
         np.tile(s_start, (config.horizon, 1)),
         clamp_start,
-        lambda samples: _score_samples(model, samples, target, config),
+        lambda samples: _score_samples(scorer, samples, target, config),
         config,
         rng,
     )

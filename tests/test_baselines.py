@@ -166,6 +166,18 @@ def test_ff_plan_trajectory_is_rollout_of_actions():
             assert np.array_equal(predicted[t + 1], state)
 
 
+def test_ff_plan_leaves_model_unchanged():
+    model = make_action_ff(2, 2, np.random.default_rng(8), (8, 8))
+    arrays = model.net.weights + model.net.biases
+    snapshot = [a.copy() for a in arrays]
+    config = PlannerConfig(num_samples=16, num_iterations=3, horizon=5, noise_scale=0.05)
+    ff_plan(model, np.zeros(2), np.array([0.3, 0.0]), config, np.random.default_rng(4))
+    assert all(a is b for a, b in zip(model.net.weights + model.net.biases, arrays))
+    for a, before in zip(arrays, snapshot):
+        assert a.dtype == np.float64
+        assert np.array_equal(a, before)
+
+
 def test_ff_plan_raises_when_all_scores_non_finite():
     model = make_action_ff(2, 2, np.random.default_rng(8), (8,))
     model.net.biases[-1][0] = np.nan

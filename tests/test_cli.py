@@ -174,6 +174,8 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"planner": {"bogus": 1}}, "planner"),
         ({"planner": {"noise_scale": "0.01"}}, "planner"),
         ({"online": {"env_step_budget": "12"}}, "online"),
+        ({"online": {"goal_tolerance": "0.05"}}, "online.goal_tolerance"),
+        ({"episodes": "3"}, "episodes"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}

@@ -311,3 +311,36 @@ def test_sample_negative_pairs_deterministic():
     a = sample_negative_pairs(model, seeds, np.random.default_rng(9))
     b = sample_negative_pairs(model, seeds, np.random.default_rng(9))
     assert np.array_equal(a, b)
+
+
+def test_sample_negative_pairs_leaves_model_unchanged():
+    model = seeded_model(84)
+    arrays = model.net.weights + model.net.biases
+    snapshot = [a.copy() for a in arrays]
+    sample_negative_pairs(model, np.zeros((3, 4)), np.random.default_rng(85))
+    assert all(a is b for a, b in zip(model.net.weights + model.net.biases, arrays))
+    for a, before in zip(arrays, snapshot):
+        assert a.dtype == np.float64
+        assert np.array_equal(a, before)
+
+
+def test_scores_of_float32_net_are_float64_and_match_float64_net():
+    model = seeded_model(86, hidden=(64, 64))
+    model32 = EnergyModel(model.net.astype(np.float32), model.state_dim)
+    trajs = np.random.default_rng(87).normal(size=(5, 6, 2))
+    goal = np.array([0.3, -0.2])
+
+    def reward(states):
+        return -np.linalg.norm(states - goal, axis=-1)
+
+    cases = [
+        (trajectory_energies, ()),
+        (goal_scores, (goal, 2.0)),
+        (fixed_goal_scores, (goal,)),
+        (reward_scores, (reward,)),
+    ]
+    for score, extra in cases:
+        want = score(model, trajs, *extra)
+        got = score(model32, trajs, *extra)
+        assert got.dtype == np.float64, score.__name__
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-5), score.__name__

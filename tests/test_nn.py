@@ -6,6 +6,7 @@ from ebmplan.nn import (
     MlpGrads,
     MlpParams,
     adam_step,
+    forward_cached,
     init_adam_state,
     load_mlp,
     mlp_forward,
@@ -51,6 +52,30 @@ def test_forward_is_pure_and_batch_consistent():
     batch = mlp_forward(net, np.stack([x, x, 2 * x]))
     assert np.array_equal(batch[0], batch[1])
     assert np.allclose(batch[0], a, rtol=1e-15)
+
+
+def test_float32_forward_matches_float64_forward():
+    net = small_net(11, dims=(4, 64, 64, 1))
+    x = np.random.default_rng(12).normal(size=(50, 4))
+    out64, _ = forward_cached(net, x)
+    out32, cache32 = forward_cached(net.astype(np.float32), x)
+    assert out64.dtype == np.float64
+    assert out32.dtype == np.float32
+    assert all(layer.dtype == np.float32 for layer in cache32)
+    assert np.allclose(out32, out64, rtol=1e-5, atol=1e-6)
+
+
+def test_astype_returns_fresh_arrays():
+    net = small_net(13)
+    for dtype in (np.float32, np.float64):
+        cast = net.astype(dtype)
+        cast.validate()
+        for src, dst in zip(net.weights + net.biases, cast.weights + cast.biases):
+            assert dst.dtype == dtype
+            assert not np.shares_memory(src, dst)
+            assert np.array_equal(dst, src.astype(dtype))
+        assert cast.activations == net.activations
+        assert cast.activations is not net.activations
 
 
 def test_forward_dimension_mismatch_raises():

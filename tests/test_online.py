@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,22 @@ def test_replay_buffer_fifo_eviction_and_capacity():
     buf.add(rows[:1])
     assert len(buf) == 5
     assert np.array_equal(buf.as_array()[0], rows[4])
+
+
+def test_replay_buffer_matches_deque_reference_across_wraparound():
+    # the ring must keep the order and the draws of a deque of row copies
+    rng = np.random.default_rng(20)
+    buf = ReplayBuffer(capacity=7)
+    reference = deque(maxlen=7)
+    for size in (3, 5, 1, 9, 2, 6, 7, 4):
+        rows = rng.normal(size=(size, 3))
+        buf.add(rows)
+        reference.extend(row.copy() for row in rows)
+        assert len(buf) == len(reference)
+        assert np.array_equal(buf.as_array(), np.stack(reference))
+        idx = np.random.default_rng(size).integers(0, len(reference), size=5)
+        expected = np.stack([reference[i] for i in idx])
+        assert np.array_equal(buf.sample(5, np.random.default_rng(size)), expected)
 
 
 def test_replay_buffer_sampling_with_replacement():

@@ -157,6 +157,18 @@ def test_plan_is_deterministic_and_clamps_start():
     assert np.array_equal(a[0], start)
 
 
+def test_plan_leaves_model_unchanged():
+    model = make_energy_model(2, np.random.default_rng(8), (8, 8))
+    arrays = model.net.weights + model.net.biases
+    snapshot = [a.copy() for a in arrays]
+    config = PlannerConfig(num_samples=16, num_iterations=3, horizon=5, noise_scale=0.1)
+    plan(model, np.zeros(2), np.array([0.5, 0.5]), config, np.random.default_rng(9))
+    assert all(a is b for a, b in zip(model.net.weights + model.net.biases, arrays))
+    for a, before in zip(arrays, snapshot):
+        assert a.dtype == np.float64
+        assert np.array_equal(a, before)
+
+
 def test_plan_quadratic_goal_converges_to_goal():
     # zero energy + gaussian goal reduces to minimizing ||s_T - g||^2
     config = PlannerConfig(num_samples=200, num_iterations=30, horizon=10, noise_scale=0.2)
