@@ -3,10 +3,10 @@
 The package is organized bottom-up: ``nn`` (MLPs, backprop, Adam), ``energy``
 (transition/trajectory scores and the contrastive objective), ``planner``
 (smooth-noise MPPI over state trajectories), ``envs`` (particle, maze and
-two-joint arm benchmarks), ``online`` (the interactive training loop),
-``baselines`` (action-conditioned forward model planned by the same MPPI
-kernel, random policy), and ``experiments``/``cli`` (config-driven benchmark
-runs).
+two-joint arm benchmarks), ``online`` (``run_online``, the interactive
+training loop of both model kinds), ``baselines`` (action-conditioned forward
+model planned by the same MPPI kernel, random policy), and
+``experiments``/``cli`` (config-driven benchmark runs).
 """
 
 from .baselines import (
@@ -62,9 +62,10 @@ from .online import (
     OnlineConfig,
     OnlineResult,
     ReplayBuffer,
+    contrastive_update,
     execute_plan,
     online_train,
-    online_train_step,
+    run_online,
 )
 from .planner import (
     PlannerConfig,

@@ -24,18 +24,10 @@ from .nn import (
     adam_step,
     backward,
     forward_cached,
-    init_adam_state,
     mlp_forward,
     mlp_init,
 )
-from .online import (
-    OnlineConfig,
-    OnlineResult,
-    ReplayBuffer,
-    _online_driver,
-    execute_plan,
-    _cut_at_goal,
-)
+from .online import OnlineConfig, OnlineResult, ReplayBuffer, run_online
 from .planner import PlannerConfig, mppi_refine
 
 
@@ -180,28 +172,21 @@ def online_train_action_ff(
     goal: np.ndarray,
     config: OnlineConfig,
     rng: np.random.Generator,
-    model: ActionFFModel | None = None,
 ) -> OnlineResult:
-    """Run the forward-model baseline through the identical online loop.
+    """Run the forward-model baseline through ``run_online``.
 
     Plans in action space, executes the predicted trajectory through inverse
     dynamics with the same deviation-triggered stopping, and fits the model by
     mean squared error on the executed transitions plus replay samples.
     """
-    if model is None:
-        model = make_action_ff(spec.state_dim, spec.action_dim, rng, config.hidden_sizes)
-    adam_state = init_adam_state(model.net)
+    model = make_action_ff(spec.state_dim, spec.action_dim, rng, config.hidden_sizes)
     buffer = ReplayBuffer(config.buffer_capacity)
-    holder = {"model": model, "adam": adam_state}
+    s_dim, a_end = spec.state_dim, spec.state_dim + spec.action_dim
 
-    def step_fn(state, max_h, step_rng):
-        _, predicted = ff_plan(
-            holder["model"], state, goal, config.planner, step_rng, spec.clip_action
-        )
-        if max_h + 1 < predicted.shape[0]:
-            predicted = predicted[: max_h + 1]
-        real, prefix = execute_plan(spec, state, predicted, config.deviation_threshold)
-        real, prefix = _cut_at_goal(spec, goal, config.goal_tolerance, real, prefix)
+    def propose(model, state, rng):
+        return ff_plan(model, state, goal, config.planner, rng, spec.clip_action)[1]
+
+    def learn(model, adam_state, real, prefix, rng):
         # re-derive the commands execute_plan applied (env clipping included),
         # so each (s, a, s') triple matches an observed transition
         actions = np.stack(
@@ -214,18 +199,14 @@ def online_train_action_ff(
         batch = fresh
         n_replay = config.batch_size if config.batch_size is not None else fresh.shape[0]
         if len(buffer) > 0:
-            batch = np.concatenate([fresh, buffer.sample(n_replay, step_rng)])
-        s_dim, a_end = spec.state_dim, spec.state_dim + spec.action_dim
-        new_model, new_adam, loss = ff_train_step(
-            holder["model"],
+            batch = np.concatenate([fresh, buffer.sample(n_replay, rng)])
+        model, adam_state, loss = ff_train_step(
+            model,
             (batch[:, :s_dim], batch[:, s_dim:a_end], batch[:, a_end:]),
             config.adam,
-            holder["adam"],
+            adam_state,
         )
-        holder["model"] = new_model
-        holder["adam"] = new_adam
         buffer.add(fresh)
-        return real, prefix, loss
+        return model, adam_state, loss
 
-    episode_scores, metrics = _online_driver(spec, goal, config, rng, step_fn)
-    return OnlineResult(model=holder["model"], episode_scores=episode_scores, metrics=metrics)
+    return run_online(spec, goal, config, rng, model, propose, learn)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import types
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -127,10 +127,11 @@ def gen_random_dataset(
 @dataclass
 class PretrainResult:
     model: object
-    losses: list[tuple[int, float]]  # (step, loss) every log interval
+    losses: list[tuple[int, float]]  # (step, loss) every 100 steps and at the last
 
 
-def pretrain_action_ff(
+def pretrain(
+    model_kind: str,
     dataset: tuple[np.ndarray, np.ndarray, np.ndarray],
     mode: str,
     steps: int,
@@ -139,14 +140,42 @@ def pretrain_action_ff(
     adam: AdamHyper = AdamHyper(),
     batch_size: int = 64,
     repeat_factor: int = 100,
-    log_every: int = 100,
+    negative_scale: float = 0.1,
 ) -> PretrainResult:
-    states, acts, next_states = dataset
+    """Train a fresh model of ``model_kind`` on a static dataset, no replay buffer.
+
+    ``shuffled`` draws each batch uniformly; ``sequential-repeated`` walks the
+    dataset in order, one datapoint held for ``repeat_factor`` consecutive
+    updates. The action-FF model fits next states by mean squared error. The
+    energy model takes dataset pairs as positives and draws negatives fresh
+    from the current model around them by perturb-and-reweight, at
+    ``negative_scale``; the action-FF model ignores that argument.
+    """
+    states, actions, next_states = dataset
     if states.shape[0] == 0:
         raise ValueError("dataset must be non-empty")
     if mode not in PRETRAIN_MODES:
         raise ValueError(f"mode must be one of {PRETRAIN_MODES}")
-    model = make_action_ff(states.shape[1], acts.shape[1], rng, hidden_sizes)
+    if model_kind == "ebm":
+        pairs = pack_pairs(states, next_states)
+        model = make_energy_model(states.shape[1], rng, hidden_sizes)
+
+        def train_step(model, adam_state, idx):
+            positives = pairs[idx]
+            negatives = sample_negative_pairs(model, positives, rng, scale=negative_scale)
+            loss, grads = contrastive_loss_and_grads(model, positives, negatives)
+            net, adam_state = adam_step(model.net, grads, adam_state, adam)
+            return EnergyModel(net, model.state_dim), adam_state, loss
+
+    elif model_kind == "action-ff":
+        model = make_action_ff(states.shape[1], actions.shape[1], rng, hidden_sizes)
+
+        def train_step(model, adam_state, idx):
+            batch = (states[idx], actions[idx], next_states[idx])
+            return ff_train_step(model, batch, adam, adam_state)
+
+    else:
+        raise ValueError(f"unknown model kind {model_kind!r}")
     adam_state = init_adam_state(model.net)
     n = states.shape[0]
     losses = []
@@ -154,65 +183,11 @@ def pretrain_action_ff(
         if mode == "shuffled":
             idx = rng.integers(0, n, size=batch_size)
         else:
-            # walk the dataset in order, each datapoint held for
-            # repeat_factor consecutive updates
             idx = np.array([(step // repeat_factor) % n])
-        model, adam_state, loss = ff_train_step(
-            model, (states[idx], acts[idx], next_states[idx]), adam, adam_state
-        )
-        if step % log_every == 0 or step == steps - 1:
+        model, adam_state, loss = train_step(model, adam_state, idx)
+        if step % 100 == 0 or step == steps - 1:
             losses.append((step, loss))
     return PretrainResult(model, losses)
-
-
-def pretrain_energy_model(
-    dataset: tuple[np.ndarray, np.ndarray, np.ndarray],
-    mode: str,
-    steps: int,
-    rng: np.random.Generator,
-    hidden_sizes: tuple[int, ...] = (64, 64),
-    adam: AdamHyper = AdamHyper(),
-    batch_size: int = 64,
-    repeat_factor: int = 100,
-    l2_coeff: float = 1.0,
-    negative_scale: float = 0.1,
-    log_every: int = 100,
-) -> PretrainResult:
-    """Contrastive pretraining on a static dataset, no replay buffer.
-
-    Positives come from the dataset; negatives are drawn fresh from the
-    current model around each positive batch by perturb-and-reweight.
-    """
-    states, _, next_states = dataset
-    if states.shape[0] == 0:
-        raise ValueError("dataset must be non-empty")
-    if mode not in PRETRAIN_MODES:
-        raise ValueError(f"mode must be one of {PRETRAIN_MODES}")
-    pairs = pack_pairs(states, next_states)
-    model = make_energy_model(states.shape[1], rng, hidden_sizes)
-    adam_state = init_adam_state(model.net)
-    n = pairs.shape[0]
-    losses = []
-    for step in range(steps):
-        if mode == "shuffled":
-            positives = pairs[rng.integers(0, n, size=batch_size)]
-        else:
-            positives = pairs[[(step // repeat_factor) % n]]
-        negatives = sample_negative_pairs(model, positives, rng, scale=negative_scale)
-        loss, grads = contrastive_loss_and_grads(model, positives, negatives, l2_coeff)
-        net, adam_state = adam_step(model.net, grads, adam_state, adam)
-        model = EnergyModel(net, model.state_dim)
-        if step % log_every == 0 or step == steps - 1:
-            losses.append((step, loss))
-    return PretrainResult(model, losses)
-
-
-def pretrain(model_kind: str, dataset, mode: str, steps: int, rng, **kwargs) -> PretrainResult:
-    if model_kind == "ebm":
-        return pretrain_energy_model(dataset, mode, steps, rng, **kwargs)
-    if model_kind == "action-ff":
-        return pretrain_action_ff(dataset, mode, steps, rng, **kwargs)
-    raise ValueError(f"unknown model kind {model_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +346,7 @@ def energy_heatmap(
 # experiment config
 
 _SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+_PLURAL_NAMES = {bool: "booleans", int: "integers", float: "numbers", str: "strings"}
 
 
 def _accepts(kind: type, value) -> bool:
@@ -383,23 +359,43 @@ def _accepts(kind: type, value) -> bool:
     return isinstance(value, kind)
 
 
-def _check_scalar_types(cls: type, data: dict, prefix: str = "") -> None:
-    """Reject a value whose type does not match a scalar field of ``cls``.
+def _check_types(cls: type, data: dict, prefix: str = "") -> None:
+    """Reject a value whose JSON type does not match its field of ``cls``.
 
-    Only scalar fields (bool, int, float, str, optionally None) are checked;
-    unknown keys and container fields are left to the caller.
+    Field types in use: scalars, ``X | None``, ``list[X]``, ``tuple[X, ...]``,
+    fixed-length ``tuple[X, X]``, ``dict``, and dataclass sections, which must
+    be JSON objects and are checked field by field. Unknown keys are left to
+    the caller.
     """
     hints = get_type_hints(cls)
     for key, value in data.items():
         hint = hints.get(key)
         options = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-        kinds = [t for t in options if t in _SCALAR_NAMES]
-        if not kinds or (value is None and type(None) in options):
+        if hint is None or (value is None and type(None) in options):
             continue
-        if not any(_accepts(kind, value) for kind in kinds):
-            raise ValueError(
-                f"{prefix}{key}: expected {_SCALAR_NAMES[kinds[0]]}, got {type(value).__name__}"
-            )
+        kind = options[0]
+        origin, args = get_origin(kind), get_args(kind)
+        got = type(value).__name__
+        if kind in _SCALAR_NAMES:
+            expected, ok = _SCALAR_NAMES[kind], _accepts(kind, value)
+        elif origin in (list, tuple):
+            fixed = origin is tuple and Ellipsis not in args
+            count = f"{len(args)} " if fixed else ""
+            expected = f"a list of {count}{_PLURAL_NAMES[args[0]]}"
+            ok = isinstance(value, (list, tuple))
+            if ok:
+                bad = [type(v).__name__ for v in value if not _accepts(args[0], v)]
+                ok = not bad and (not fixed or len(value) == len(args))
+                got = f"a list with a {bad[0]}" if bad else f"a list of {len(value)}"
+        elif kind is dict or is_dataclass(kind):
+            expected = "an object"
+            ok = isinstance(value, dict) or (is_dataclass(kind) and isinstance(value, kind))
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{prefix}{key}: expected {expected}, got {got}")
+        if is_dataclass(kind) and isinstance(value, dict):
+            _check_types(kind, value, f"{prefix}{key}.")
 
 
 @dataclass
@@ -478,13 +474,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        _check_scalar_types(cls, data)
-        if isinstance(data.get("planner"), dict):
-            _check_scalar_types(PlannerConfig, data["planner"], "planner.")
-        if isinstance(data.get("online"), dict):
-            _check_scalar_types(OnlineConfig, data["online"], "online.")
-            if isinstance(data["online"].get("adam"), dict):
-                _check_scalar_types(AdamHyper, data["online"]["adam"], "online.adam.")
+        _check_types(cls, data)
+        if "online" in data:
+            _check_types(OnlineConfig, data["online"], "online.")
         try:
             if isinstance(data.get("planner"), dict):
                 data["planner"] = PlannerConfig(**data["planner"])
@@ -540,9 +532,9 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
     Returns the output directory. Every file written is a pure function of
     the config contents.
     """
+    spec = config.make_env()  # a bad environment fails before out_dir exists
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = config.make_env()
     runner = _RUNNERS[config.kind]
     runner(config, spec, out_dir, quiet)
     return out_dir
@@ -587,7 +579,7 @@ def _run_pretrain(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet:
             hidden_sizes=tuple(config.hidden_sizes),
             adam=AdamHyper(learning_rate=config.learning_rate),
             batch_size=config.pretrain_batch,
-            **({"negative_scale": config.negative_scale} if config.model == "ebm" else {}),
+            negative_scale=config.negative_scale,
         )
         rows[seed] = [(seed, step, loss) for step, loss in result.losses]
         save_mlp(result.model.net, out_dir / f"model_{config.model}_seed{seed}.npz")
@@ -625,7 +617,6 @@ def _run_explore(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: 
 def _pretrain_for_comparison(config: ExperimentConfig, model_kind: str, mode: str, dataset, seed):
     # fresh generator per model so both train from the same entropy stream
     lr = config.learning_rate if model_kind == "ebm" else config.ff_learning_rate
-    extra = {"negative_scale": config.negative_scale} if model_kind == "ebm" else {}
     return pretrain(
         model_kind, dataset, mode, config.pretrain_steps,
         np.random.default_rng(seed + 17),
@@ -633,7 +624,7 @@ def _pretrain_for_comparison(config: ExperimentConfig, model_kind: str, mode: st
         adam=AdamHyper(learning_rate=lr),
         batch_size=config.pretrain_batch,
         repeat_factor=config.repeat_factor,
-        **extra,
+        negative_scale=config.negative_scale,
     ).model
 
 

@@ -1,12 +1,15 @@
-"""Online energy-model training against a live environment.
+"""Online model training against a live environment.
 
-One training iteration plans a trajectory with the current model, executes it
-through ground-truth inverse dynamics until the real state deviates from the
-plan by more than a threshold, and then takes one contrastive step: the
-executed real transitions are positives, the attempted planned transitions up
-to the deviation are negatives, each mixed with samples from its replay
-buffer. When execution tracks the plan exactly the fresh positives and
-negatives coincide and cancel, so only planning errors drive learning.
+``run_online`` is the one loop for both model kinds. Each iteration plans a
+trajectory with the current model, executes it through ground-truth inverse
+dynamics until the real state deviates from the plan by more than a
+threshold, and hands the executed trajectory and the matching planned prefix
+to the model kind's update rule. For the energy model that rule is
+``contrastive_update``: the executed real transitions are positives, the
+attempted planned transitions up to the deviation are negatives, each mixed
+with samples from its replay buffer. When execution tracks the plan exactly
+the fresh positives and negatives coincide and cancel, so only planning
+errors drive learning.
 """
 
 from __future__ import annotations
@@ -158,41 +161,22 @@ def plan_target(spec: EnvSpec, goal: np.ndarray | None, config: PlannerConfig):
     return goal
 
 
-@dataclass
-class OnlineStepResult:
-    model: EnergyModel
-    adam_state: AdamState
-    state: np.ndarray
-    real_traj: np.ndarray
-    plan_prefix: np.ndarray
-    loss: float
-
-
-def online_train_step(
-    spec: EnvSpec,
+def contrastive_update(
     model: EnergyModel,
     adam_state: AdamState,
-    state: np.ndarray,
-    goal: np.ndarray | None,
+    real: np.ndarray,
+    prefix: np.ndarray,
+    rng: np.random.Generator,
     buffers: tuple[ReplayBuffer, ReplayBuffer],
     config: OnlineConfig,
-    rng: np.random.Generator,
-    max_horizon: int | None = None,
-) -> OnlineStepResult:
-    """One plan/execute/train iteration; buffers are appended in place.
+) -> tuple[EnergyModel, AdamState, float]:
+    """One contrastive Adam step on an executed trajectory; buffers grow in place.
 
     Fresh executed pairs join the positive batch and fresh planned pairs the
     negative batch, each padded with an equal number of replay samples (none
-    while a buffer is still empty). ``max_horizon`` truncates execution, e.g.
-    at an episode boundary, and execution also ends at the first goal hit.
+    while a buffer is still empty).
     """
     b_pos, b_neg = buffers
-    planned = plan(model, state, plan_target(spec, goal, config.planner), config.planner, rng)
-    if max_horizon is not None and max_horizon + 1 < planned.shape[0]:
-        planned = planned[: max_horizon + 1]
-    real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
-    real, prefix = _cut_at_goal(spec, goal, config.goal_tolerance, real, prefix)
-
     fresh_pos = collate(real)
     fresh_neg = collate(prefix)
     n_replay = config.batch_size if config.batch_size is not None else fresh_pos.shape[0]
@@ -207,14 +191,7 @@ def online_train_step(
     net, new_adam = adam_step(model.net, grads, adam_state, config.adam)
     b_pos.add(fresh_pos)
     b_neg.add(fresh_neg)
-    return OnlineStepResult(
-        model=EnergyModel(net, model.state_dim),
-        adam_state=new_adam,
-        state=real[-1].copy(),
-        real_traj=real,
-        plan_prefix=prefix,
-        loss=loss,
-    )
+    return EnergyModel(net, model.state_dim), new_adam, loss
 
 
 @dataclass
@@ -234,22 +211,27 @@ class OnlineResult:
     metrics: list[OnlineMetricsRow]
 
 
-def _online_driver(
+def run_online(
     spec: EnvSpec,
     goal: np.ndarray | None,
     config: OnlineConfig,
     rng: np.random.Generator,
-    step_fn: Callable[[np.ndarray, int, np.random.Generator], tuple[np.ndarray, np.ndarray, float]],
-) -> tuple[list[float], list[OnlineMetricsRow]]:
-    """Episode bookkeeping shared by the energy-model and baseline loops.
+    model,
+    propose: Callable,
+    learn: Callable,
+) -> OnlineResult:
+    """Plan, execute and learn until the budget is spent; the loop of both model kinds.
 
-    ``step_fn(state, max_horizon, rng)`` performs one plan/execute/learn
-    iteration and returns the executed real trajectory, the matching planned
-    prefix, and the training loss. Episodes reset to the start state after
+    ``propose(model, state, rng)`` returns a planned state trajectory starting
+    at ``state``; it is truncated at the episode or budget boundary, executed
+    until reality deviates from it, and cut at the first goal hit. Then
+    ``learn(model, adam_state, real, prefix, rng)`` returns the updated model,
+    Adam state and training loss. Episodes reset to the start state after
     ``episode_length`` transitions or on reaching the goal; only completed
     episodes enter the score series, and an episode's score sums the reward
     of every state reached by an executed transition.
     """
+    adam_state = init_adam_state(model.net)
     state = spec.start_state.copy()
     steps_total = 0
     episode_idx = 0
@@ -263,7 +245,10 @@ def _online_driver(
         max_h = min(
             config.env_step_budget - steps_total, config.episode_length - episode_steps
         )
-        real, _, loss = step_fn(state, max_h, rng)
+        planned = propose(model, state, rng)[: max_h + 1]
+        real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
+        real, prefix = _cut_at_goal(spec, goal, config.goal_tolerance, real, prefix)
+        model, adam_state, loss = learn(model, adam_state, real, prefix, rng)
         executed = real.shape[0] - 1
         if goal is not None:
             episode_return += sum(spec.reward(real[i], goal) for i in range(1, real.shape[0]))
@@ -288,7 +273,7 @@ def _online_driver(
             episode_steps = 0
             episode_return = 0.0
             state = spec.start_state.copy()
-    return episode_scores, metrics
+    return OnlineResult(model=model, episode_scores=episode_scores, metrics=metrics)
 
 
 def online_train(
@@ -296,7 +281,6 @@ def online_train(
     goal: np.ndarray | None,
     config: OnlineConfig,
     rng: np.random.Generator,
-    model: EnergyModel | None = None,
 ) -> OnlineResult:
     """Train an energy model online until the environment step budget is spent.
 
@@ -304,27 +288,14 @@ def online_train(
     episode scores are zero and only the occupancy column is informative.
     Returns the trained model plus per-episode scores and per-update metrics.
     """
-    if model is None:
-        model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
-    adam_state = init_adam_state(model.net)
+    model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
     buffers = (ReplayBuffer(config.buffer_capacity), ReplayBuffer(config.buffer_capacity))
-    holder = {"model": model, "adam": adam_state}
+    target = plan_target(spec, goal, config.planner)
 
-    def step_fn(state, max_h, step_rng):
-        result = online_train_step(
-            spec,
-            holder["model"],
-            holder["adam"],
-            state,
-            goal,
-            buffers,
-            config,
-            step_rng,
-            max_horizon=max_h,
-        )
-        holder["model"] = result.model
-        holder["adam"] = result.adam_state
-        return result.real_traj, result.plan_prefix, result.loss
+    def propose(model, state, rng):
+        return plan(model, state, target, config.planner, rng)
 
-    episode_scores, metrics = _online_driver(spec, goal, config, rng, step_fn)
-    return OnlineResult(model=holder["model"], episode_scores=episode_scores, metrics=metrics)
+    def learn(model, adam_state, real, prefix, rng):
+        return contrastive_update(model, adam_state, real, prefix, rng, buffers, config)
+
+    return run_online(spec, goal, config, rng, model, propose, learn)

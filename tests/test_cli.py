@@ -176,6 +176,13 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"online": {"env_step_budget": "12"}}, "online"),
         ({"online": {"goal_tolerance": "0.05"}}, "online.goal_tolerance"),
         ({"episodes": "3"}, "episodes"),
+        ({"hidden_sizes": "ab"}, "hidden_sizes"),
+        ({"planner": 3}, "planner"),
+        ({"online": {"adam": "fast"}}, "online.adam"),
+        ({"env_options": 3}, "env_options"),
+        ({"seeds": "0"}, "seeds"),
+        ({"goal": "near"}, "goal"),
+        ({"env_options": {"start": "x"}}, "'x'"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}

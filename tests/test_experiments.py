@@ -11,7 +11,6 @@ from ebmplan.experiments import (
     evaluate_model,
     gen_random_dataset,
     pretrain,
-    pretrain_action_ff,
     run_diversity,
     run_explore,
     run_policy_episode,
@@ -73,8 +72,8 @@ def test_pretrain_action_ff_reaches_low_mse_on_particle():
 
     spec = particle_env()
     dataset = gen_random_dataset(spec, 2000, np.random.default_rng(4))
-    result = pretrain_action_ff(
-        dataset, "shuffled", 1500, np.random.default_rng(5),
+    result = pretrain(
+        "action-ff", dataset, "shuffled", 1500, np.random.default_rng(5),
         hidden_sizes=(32, 32), adam=AdamHyper(learning_rate=3e-3), batch_size=64,
     )
     loss, _ = ff_mse_loss_and_grads(result.model, *dataset)
@@ -82,11 +81,43 @@ def test_pretrain_action_ff_reaches_low_mse_on_particle():
 
 
 def test_pretrain_sequential_mode_walks_in_order():
+    # each kind must match a hand loop over rows 0 x5 then 1 x5 with its own
+    # update step; a loop over kinds, not parameters, so the test keeps its id
+    from ebmplan.baselines import ff_train_step
+    from ebmplan.energy import contrastive_loss_and_grads, pack_pairs, sample_negative_pairs
+    from ebmplan.nn import AdamHyper, adam_step, init_adam_state
+
     spec = particle_env()
-    dataset = gen_random_dataset(spec, 30, np.random.default_rng(6))
-    result = pretrain("action-ff", dataset, "sequential-repeated", 10,
-                      np.random.default_rng(8), hidden_sizes=(4,), repeat_factor=5)
-    assert len(result.losses) >= 1
+    states, actions, next_states = dataset = gen_random_dataset(
+        spec, 30, np.random.default_rng(6)
+    )
+    rows = [0] * 5 + [1] * 5
+    pairs = pack_pairs(states, next_states)
+    for kind in ("ebm", "action-ff"):
+        result = pretrain(kind, dataset, "sequential-repeated", 10,
+                          np.random.default_rng(8), hidden_sizes=(4,), repeat_factor=5)
+        rng = np.random.default_rng(8)
+        if kind == "ebm":
+            model = make_energy_model(2, rng, (4,))
+        else:
+            model = make_action_ff(2, 2, rng, (4,))
+        adam_state = init_adam_state(model.net)
+        losses = []
+        for i in rows:
+            if kind == "ebm":
+                positives = pairs[[i]]
+                negatives = sample_negative_pairs(model, positives, rng, scale=0.1)
+                loss, grads = contrastive_loss_and_grads(model, positives, negatives)
+                net, adam_state = adam_step(model.net, grads, adam_state, AdamHyper())
+                model = EnergyModel(net, 2)
+            else:
+                batch = (states[[i]], actions[[i]], next_states[[i]])
+                model, adam_state, loss = ff_train_step(model, batch, AdamHyper(), adam_state)
+            losses.append(loss)
+        assert result.losses == [(0, losses[0]), (9, losses[9])]
+        got = result.model.net
+        for a, b in zip(got.weights + got.biases, model.net.weights + model.net.biases):
+            assert np.array_equal(a, b), kind
 
 
 def test_run_policy_episode_teleport_oracle():

@@ -3,17 +3,18 @@ from collections import deque
 import numpy as np
 import pytest
 
+from ebmplan.baselines import online_train_action_ff
 from ebmplan.energy import make_energy_model, transition_energies
 from ebmplan.envs import particle_env
 from ebmplan.nn import init_adam_state
 from ebmplan.online import (
     OnlineConfig,
     ReplayBuffer,
+    contrastive_update,
     execute_plan,
     online_train,
-    online_train_step,
 )
-from ebmplan.planner import PlannerConfig
+from ebmplan.planner import PlannerConfig, plan
 
 
 def tiny_config(**overrides):
@@ -105,21 +106,31 @@ def test_replay_buffer_empty_sample_raises():
         ReplayBuffer(capacity=2).sample(1, np.random.default_rng(0))
 
 
+def plan_execute_update(spec, model, goal, buffers, config, rng):
+    """One online iteration from the start state: plan, execute, contrastive update."""
+    state = spec.start_state
+    planned = plan(model, state, goal, config.planner, rng)
+    real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
+    new_model, _, loss = contrastive_update(
+        model, init_adam_state(model.net), real, prefix, rng, buffers, config
+    )
+    return new_model, real, prefix, loss
+
+
 def test_online_train_step_grows_buffers_by_fresh_pairs():
     spec = particle_env()
     config = tiny_config()
     rng = np.random.default_rng(3)
     model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
     buffers = (ReplayBuffer(64), ReplayBuffer(64))
-    result = online_train_step(
-        spec, model, init_adam_state(model.net), spec.start_state,
-        np.array([0.2, 0.2]), buffers, config, rng,
+    _, real, prefix, loss = plan_execute_update(
+        spec, model, np.array([0.2, 0.2]), buffers, config, rng
     )
-    executed = result.real_traj.shape[0] - 1
-    assert result.plan_prefix.shape == result.real_traj.shape
+    executed = real.shape[0] - 1
+    assert prefix.shape == real.shape
     assert len(buffers[0]) == executed
     assert len(buffers[1]) == executed
-    assert np.isfinite(result.loss)
+    assert np.isfinite(loss)
 
 
 def test_online_train_step_deterministic():
@@ -130,16 +141,12 @@ def test_online_train_step_deterministic():
         rng = np.random.default_rng(11)
         model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
         buffers = (ReplayBuffer(64), ReplayBuffer(64))
-        result = online_train_step(
-            spec, model, init_adam_state(model.net), spec.start_state,
-            np.array([0.1, 0.3]), buffers, config, rng,
-        )
-        return result
+        return plan_execute_update(spec, model, np.array([0.1, 0.3]), buffers, config, rng)
 
-    a, b = run(), run()
-    assert a.loss == b.loss
-    assert np.array_equal(a.real_traj, b.real_traj)
-    assert np.array_equal(a.model.net.weights[0], b.model.net.weights[0])
+    (model_a, real_a, _, loss_a), (model_b, real_b, _, loss_b) = run(), run()
+    assert loss_a == loss_b
+    assert np.array_equal(real_a, real_b)
+    assert np.array_equal(model_a.net.weights[0], model_b.net.weights[0])
 
 
 def test_online_train_step_near_perfect_planning_cancels():
@@ -156,20 +163,17 @@ def test_online_train_step_near_perfect_planning_cancels():
     rng = np.random.default_rng(5)
     model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
     buffers = (ReplayBuffer(64), ReplayBuffer(64))
-    result = online_train_step(
-        spec, model, init_adam_state(model.net), spec.start_state, None,
-        buffers, config, rng,
-    )
-    assert np.allclose(result.real_traj, result.plan_prefix, atol=1e-8)
-    energies = transition_energies(result.model, buffers[0].as_array())
+    new_model, real, prefix, loss = plan_execute_update(spec, model, None, buffers, config, rng)
+    assert np.allclose(real, prefix, atol=1e-8)
+    energies = transition_energies(new_model, buffers[0].as_array())
     expected = float(np.mean(2.0 * transition_energies(model, buffers[0].as_array()) ** 2))
-    assert abs(result.loss - expected) < 1e-6
-    assert energies.shape[0] == result.real_traj.shape[0] - 1
+    assert abs(loss - expected) < 1e-6
+    assert energies.shape[0] == real.shape[0] - 1
     # the contrastive gap on fresh pairs stays at zero under perfect planning
     from ebmplan.energy import collate
 
-    gap = transition_energies(model, collate(result.real_traj)).mean() - transition_energies(
-        model, collate(result.plan_prefix)
+    gap = transition_energies(model, collate(real)).mean() - transition_energies(
+        model, collate(prefix)
     ).mean()
     assert abs(gap) < 1e-7
 
@@ -191,31 +195,35 @@ def test_online_train_goal_at_start_scores_near_zero():
 
 
 def test_online_train_bit_identical_metrics_across_runs():
+    # both model kinds run through the same loop; a loop, not parameters, so
+    # the test keeps its id
     spec = particle_env()
     config = tiny_config(env_step_budget=25)
     goal = np.array([-0.3, -0.2])
-    a = online_train(spec, goal, config, np.random.default_rng(7))
-    b = online_train(spec, goal, config, np.random.default_rng(7))
-    assert len(a.metrics) == len(b.metrics)
-    for ra, rb in zip(a.metrics, b.metrics):
-        assert (ra.step, ra.episode, ra.executed, ra.occupancy) == (
-            rb.step, rb.episode, rb.executed, rb.occupancy
-        )
-        assert ra.score == rb.score
-        assert ra.loss == rb.loss
-    assert a.episode_scores == b.episode_scores
+    for train in (online_train, online_train_action_ff):
+        a = train(spec, goal, config, np.random.default_rng(7))
+        b = train(spec, goal, config, np.random.default_rng(7))
+        assert len(a.metrics) == len(b.metrics)
+        for ra, rb in zip(a.metrics, b.metrics):
+            assert (ra.step, ra.episode, ra.executed, ra.occupancy) == (
+                rb.step, rb.episode, rb.executed, rb.occupancy
+            )
+            assert ra.score == rb.score
+            assert ra.loss == rb.loss
+        assert a.episode_scores == b.episode_scores
 
 
 def test_online_train_respects_budget_and_episode_length():
     spec = particle_env()
     config = tiny_config(env_step_budget=23, episode_length=7)
-    result = online_train(spec, np.array([0.4, 0.4]), config, np.random.default_rng(2))
-    assert result.metrics[-1].step == 23
-    steps = 0
-    for row in result.metrics:
-        assert row.step > steps
-        steps = row.step
-    assert len(result.episode_scores) >= 2
+    for train in (online_train, online_train_action_ff):
+        result = train(spec, np.array([0.4, 0.4]), config, np.random.default_rng(2))
+        assert result.metrics[-1].step == 23
+        steps = 0
+        for row in result.metrics:
+            assert row.step > steps
+            steps = row.step
+        assert len(result.episode_scores) >= 2
 
 
 def test_online_config_validation():
