@@ -1,10 +1,12 @@
 """Config-driven experiment runners and their CSV/SVG outputs.
 
 Every experiment kind is reproducible: a fixed config plus seed list yields
-bit-identical output files. Per-seed rows are collected in memory and merged
-in seed order, and each file is written to a temporary file beside it and
-then renamed into place. Progress lines go to stdout; no wall-clock time
-enters any output file.
+bit-identical output files. ``run_experiment`` runs the seeds of every kind
+but heatmap through one loop, keeps each seed's rows and checkpoint in
+memory, and writes nothing until every seed has run; the rows are then
+merged in sorted seed order. Each file is written to a temporary file beside
+it and then renamed into place. Progress lines go to stdout; no wall-clock
+time enters any output file.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .energy import (
     transition_energies,
 )
 from .envs import (
+    ENV_FACTORIES,
     EnvSpec,
     MazeLayout,
     load_maze_layout,
@@ -89,13 +92,6 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(_format_cell(v) for v in row) for row in rows]
     write_atomic(path, ("\n".join(lines) + "\n").encode())
-
-
-def merge_seed_rows(per_seed_rows: dict[int, list[tuple]]) -> list[tuple]:
-    merged: list[tuple] = []
-    for seed in sorted(per_seed_rows):
-        merged.extend(per_seed_rows[seed])
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +439,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
+        if self.env not in ENV_FACTORIES:
+            raise ValueError(f"unknown environment kind {self.env!r}")
         if self.model not in ("ebm", "action-ff"):
             raise ValueError(f"unknown model kind {self.model!r}")
 
     def make_env(self) -> EnvSpec:
         options = dict(self.env_options)
-        if self.env == "maze" and "walls" in options:
-            options["layout"] = MazeLayout(tuple(tuple(w) for w in options.pop("walls")))
-        if self.env == "maze" and "walls_file" in options:
-            options["layout"] = load_maze_layout(options.pop("walls_file"))
-        if "start" in options:
-            options["start"] = tuple(options["start"])
-        return make_env(self.env, **options)
+        try:
+            if self.env == "maze" and "walls" in options:
+                options["layout"] = MazeLayout(tuple(tuple(w) for w in options.pop("walls")))
+            if self.env == "maze" and "walls_file" in options:
+                options["layout"] = load_maze_layout(options.pop("walls_file"))
+            if "start" in options:
+                options["start"] = tuple(options["start"])
+            return make_env(self.env, **options)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"env_options: {exc}") from None
 
     def online_config(self) -> OnlineConfig:
         extra = dict(self.online)
@@ -526,178 +529,157 @@ def _goal_array(config: ExperimentConfig, spec: EnvSpec) -> np.ndarray:
     return goal
 
 
+# CSV_HEADERS key -> output file stem, where the two differ
+_CSV_STEMS = {"online": "metrics", "obstacle-gen": "obstacle", "ablation-correlated": "ablation"}
+
+
 def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
     """Run one experiment for all its seeds and write merged CSV outputs.
 
     Returns the output directory. Every file written is a pure function of
-    the config contents.
+    the config contents. Nothing is written, and ``out_dir`` is not created,
+    until every seed has run, so a run that fails leaves no output behind.
     """
-    spec = config.make_env()  # a bad environment fails before out_dir exists
+    spec = config.make_env()
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    runner = _RUNNERS[config.kind]
-    runner(config, spec, out_dir, quiet)
+    if config.kind == "heatmap":
+        _write_heatmap(config, spec, out_dir, quiet)
+        return out_dir
+    run_seed = _SEED_RUNNERS[config.kind]
+    tables, nets = {}, {}
+    for seed in config.seeds:
+        tables[seed], nets[seed], line = run_seed(config, spec, seed)
+        _log(quiet, line)
+    order = sorted(tables)
+    for key in tables[order[0]]:
+        rows = [row for seed in order for row in tables[seed][key]]
+        write_csv(out_dir / f"{_CSV_STEMS.get(key, key)}.csv", CSV_HEADERS[key], rows)
+    for seed in order:
+        if nets[seed] is not None:
+            save_mlp(nets[seed], out_dir / f"model_{config.model}_seed{seed}.npz")
     return out_dir
 
 
-def _run_online(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
+# Each per-seed runner maps (config, spec, seed) to (rows by CSV_HEADERS key,
+# the net to checkpoint or None, a progress line) and writes nothing.
+
+
+def _online_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     goal = _goal_array(config, spec)
-    online_config = config.online_config()
-    metric_rows: dict[int, list[tuple]] = {}
-    episode_rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        rng = np.random.default_rng(seed)
-        if config.model == "ebm":
-            result = online_train(spec, goal, online_config, rng)
-        else:
-            result = online_train_action_ff(spec, goal, online_config, rng)
-        metric_rows[seed] = [
-            (seed, m.step, m.episode, m.score, m.loss, m.executed, m.occupancy)
-            for m in result.metrics
-        ]
-        episode_rows[seed] = [
-            (seed, i, score) for i, score in enumerate(result.episode_scores)
-        ]
-        save_mlp(result.model.net, out_dir / f"model_{config.model}_seed{seed}.npz")
-        _log(quiet, f"online[{config.model}] seed {seed}: "
-                    f"{len(result.episode_scores)} episodes")
-    write_csv(out_dir / "metrics.csv", CSV_HEADERS["online"], merge_seed_rows(metric_rows))
-    write_csv(out_dir / "episodes.csv", CSV_HEADERS["episodes"], merge_seed_rows(episode_rows))
+    train = online_train if config.model == "ebm" else online_train_action_ff
+    result = train(spec, goal, config.online_config(), np.random.default_rng(seed))
+    tables = {
+        "online": [(seed, m.step, m.episode, m.score, m.loss, m.executed, m.occupancy)
+                   for m in result.metrics],
+        "episodes": [(seed, i, score) for i, score in enumerate(result.episode_scores)],
+    }
+    line = f"online[{config.model}] seed {seed}: {len(result.episode_scores)} episodes"
+    return tables, result.model.net, line
 
 
-def _run_pretrain(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
-    rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        rng = np.random.default_rng(seed)
-        dataset = gen_random_dataset(spec, config.dataset_size, rng, config.dataset_reset_every)
-        result = pretrain(
-            config.model,
-            dataset,
-            "shuffled",
-            config.pretrain_steps,
-            rng,
-            hidden_sizes=tuple(config.hidden_sizes),
-            adam=AdamHyper(learning_rate=config.learning_rate),
-            batch_size=config.pretrain_batch,
-            negative_scale=config.negative_scale,
-        )
-        rows[seed] = [(seed, step, loss) for step, loss in result.losses]
-        save_mlp(result.model.net, out_dir / f"model_{config.model}_seed{seed}.npz")
-        _log(quiet, f"pretrain[{config.model}] seed {seed}: final loss {result.losses[-1][1]:.5f}")
-    write_csv(out_dir / "pretrain.csv", CSV_HEADERS["pretrain"], merge_seed_rows(rows))
-
-
-def _run_eval(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
-    goal = _goal_array(config, spec)
-    model = _load_model(config, spec)
-    rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        rng = np.random.default_rng(seed)
-        scores = evaluate_model(
-            model, spec, goal, config.planner, config.episodes, config.episode_length, rng
-        )
-        rows[seed] = [(seed, i, s) for i, s in enumerate(scores)]
-        _log(quiet, f"eval seed {seed}: mean score {np.mean(scores):.3f}")
-    write_csv(out_dir / "eval.csv", CSV_HEADERS["eval"], merge_seed_rows(rows))
-
-
-def _run_explore(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
-    online_config = config.online_config()
-    rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        series = run_explore(
-            config.explore_policy, spec, config.budget, config.cell_size, seed, online_config
-        )
-        rows[seed] = [(seed, step, occ) for step, occ in series]
-        _log(quiet, f"explore[{config.explore_policy}] seed {seed}: "
-                    f"final occupancy {series[-1][1]}")
-    write_csv(out_dir / "explore.csv", CSV_HEADERS["explore"], merge_seed_rows(rows))
-
-
-def _pretrain_for_comparison(config: ExperimentConfig, model_kind: str, mode: str, dataset, seed):
-    # fresh generator per model so both train from the same entropy stream
-    lr = config.learning_rate if model_kind == "ebm" else config.ff_learning_rate
+def _pretrain(config: ExperimentConfig, model_kind: str, mode: str, dataset, rng,
+              learning_rate: float) -> PretrainResult:
     return pretrain(
-        model_kind, dataset, mode, config.pretrain_steps,
-        np.random.default_rng(seed + 17),
+        model_kind, dataset, mode, config.pretrain_steps, rng,
         hidden_sizes=tuple(config.hidden_sizes),
-        adam=AdamHyper(learning_rate=lr),
+        adam=AdamHyper(learning_rate=learning_rate),
         batch_size=config.pretrain_batch,
         repeat_factor=config.repeat_factor,
         negative_scale=config.negative_scale,
-    ).model
+    )
 
 
-def _run_obstacle(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
-    if spec.kind != "particle":
-        raise ValueError("obstacle generalization runs on the particle environment")
+def _pretrain_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+    rng = np.random.default_rng(seed)
+    dataset = gen_random_dataset(spec, config.dataset_size, rng, config.dataset_reset_every)
+    result = _pretrain(config, config.model, "shuffled", dataset, rng, config.learning_rate)
+    tables = {"pretrain": [(seed, step, loss) for step, loss in result.losses]}
+    line = f"pretrain[{config.model}] seed {seed}: final loss {result.losses[-1][1]:.5f}"
+    return tables, result.model.net, line
+
+
+def _eval_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     goal = _goal_array(config, spec)
-    start = tuple(spec.start_state)
-    blocked_spec = maze_env(MazeLayout((config.obstacle,)), start=start)
-    rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        dataset = gen_random_dataset(
-            spec, config.dataset_size, np.random.default_rng(seed), config.dataset_reset_every
-        )
-        seed_rows = []
-        for name in ("ebm", "action-ff"):
-            model = _pretrain_for_comparison(config, name, "shuffled", dataset, seed)
-            for condition, env in (("open", spec), ("obstacle", blocked_spec)):
+    model = _load_model(config, spec)
+    scores = evaluate_model(model, spec, goal, config.planner, config.episodes,
+                            config.episode_length, np.random.default_rng(seed))
+    tables = {"eval": [(seed, i, s) for i, s in enumerate(scores)]}
+    return tables, None, f"eval seed {seed}: mean score {np.mean(scores):.3f}"
+
+
+def _explore_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+    series = run_explore(config.explore_policy, spec, config.budget, config.cell_size, seed,
+                         config.online_config())
+    tables = {"explore": [(seed, step, occ) for step, occ in series]}
+    line = f"explore[{config.explore_policy}] seed {seed}: final occupancy {series[-1][1]}"
+    return tables, None, line
+
+
+def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+    """Both model kinds pretrained on one random dataset, then evaluated.
+
+    Each variant is a pretraining mode and the (label, environment) pairs it
+    is evaluated on; the label fills the third CSV column.
+    """
+    if config.kind == "obstacle-gen":
+        if spec.kind != "particle":
+            raise ValueError("obstacle generalization runs on the particle environment")
+        blocked = maze_env(MazeLayout((config.obstacle,)), start=tuple(spec.start_state))
+        variants = [("shuffled", [("open", spec), ("obstacle", blocked)])]
+    else:
+        variants = [(mode, [(mode, spec)]) for mode in PRETRAIN_MODES]
+    goal = _goal_array(config, spec)
+    dataset = gen_random_dataset(
+        spec, config.dataset_size, np.random.default_rng(seed), config.dataset_reset_every
+    )
+    rows, means = [], []
+    for model_kind in ("ebm", "action-ff"):
+        lr = config.learning_rate if model_kind == "ebm" else config.ff_learning_rate
+        for mode, envs in variants:
+            # fresh generator per model so both train from the same entropy stream
+            model = _pretrain(
+                config, model_kind, mode, dataset, np.random.default_rng(seed + 17), lr
+            ).model
+            for label, env in envs:
                 scores = evaluate_model(
                     model, env, goal, config.planner, config.episodes,
                     config.episode_length, np.random.default_rng(seed + 1),
                 )
-                seed_rows += [(seed, name, condition, i, s) for i, s in enumerate(scores)]
-                _log(quiet, f"obstacle seed {seed} {name}/{condition}: "
-                            f"mean {np.mean(scores):.3f}")
-        rows[seed] = seed_rows
-    write_csv(out_dir / "obstacle.csv", CSV_HEADERS["obstacle-gen"], merge_seed_rows(rows))
+                rows += [(seed, model_kind, label, i, s) for i, s in enumerate(scores)]
+                means.append(f"{model_kind}/{label} {np.mean(scores):.3f}")
+    line = f"{_CSV_STEMS[config.kind]} seed {seed}: mean " + " ".join(means)
+    return {config.kind: rows}, None, line
 
 
-def _run_ablation(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
+def _diversity_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     goal = _goal_array(config, spec)
-    rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        dataset = gen_random_dataset(
-            spec, config.dataset_size, np.random.default_rng(seed), config.dataset_reset_every
-        )
-        seed_rows = []
-        for model_kind in ("ebm", "action-ff"):
-            for mode in PRETRAIN_MODES:
-                model = _pretrain_for_comparison(config, model_kind, mode, dataset, seed)
-                scores = evaluate_model(
-                    model, spec, goal, config.planner, config.episodes,
-                    config.episode_length, np.random.default_rng(seed + 1),
-                )
-                seed_rows += [(seed, model_kind, mode, i, s) for i, s in enumerate(scores)]
-                _log(quiet, f"ablation seed {seed} {model_kind}/{mode}: "
-                            f"mean {np.mean(scores):.3f}")
-        rows[seed] = seed_rows
-    write_csv(
-        out_dir / "ablation.csv", CSV_HEADERS["ablation-correlated"], merge_seed_rows(rows)
+    rng = np.random.default_rng(seed)
+    if config.model_checkpoint is not None:
+        model = _load_model(config, spec)
+    else:
+        model = make_energy_model(spec.state_dim, rng, tuple(config.hidden_sizes))
+    trial_seeds = [int(v) for v in np.random.SeedSequence(seed).generate_state(config.trials)]
+    spreads = run_diversity(
+        model, spec.start_state, goal, list(config.horizons), trial_seeds, config.planner
     )
+    tables = {"diversity": [(seed, h, spreads[h]) for h in config.horizons]}
+    spread_text = " ".join(f"T{h}={spreads[h]:.3f}" for h in config.horizons)
+    return tables, None, f"diversity seed {seed}: {spread_text}"
 
 
-def _run_diversity(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
-    goal = _goal_array(config, spec)
-    rows: dict[int, list[tuple]] = {}
-    for seed in config.seeds:
-        rng = np.random.default_rng(seed)
-        if config.model_checkpoint is not None:
-            model = _load_model(config, spec)
-        else:
-            model = make_energy_model(spec.state_dim, rng, tuple(config.hidden_sizes))
-        trial_seeds = [int(v) for v in np.random.SeedSequence(seed).generate_state(config.trials)]
-        spreads = run_diversity(
-            model, spec.start_state, goal, list(config.horizons), trial_seeds, config.planner
-        )
-        rows[seed] = [(seed, h, spreads[h]) for h in config.horizons]
-        _log(quiet, f"diversity seed {seed}: " +
-             " ".join(f"T{h}={spreads[h]:.3f}" for h in config.horizons))
-    write_csv(out_dir / "diversity.csv", CSV_HEADERS["diversity"], merge_seed_rows(rows))
+_SEED_RUNNERS = {
+    "online": _online_seed,
+    "pretrain": _pretrain_seed,
+    "eval": _eval_seed,
+    "explore": _explore_seed,
+    "obstacle-gen": _comparison_seed,
+    "ablation-correlated": _comparison_seed,
+    "diversity": _diversity_seed,
+}
 
 
-def _run_heatmap(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
+def _write_heatmap(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
+    # not per seed, a header that depends on the resolution, and an SVG beside the CSV
     if config.model_checkpoint is not None:
         model = _load_model(config, spec)
     else:
@@ -712,15 +694,3 @@ def _run_heatmap(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: 
     write_csv(out_dir / "heatmap.csv", header, rows)
     write_heatmap_svg(matrix, out_dir / "heatmap.svg")
     _log(quiet, f"heatmap: {config.resolution}x{config.resolution} grid written")
-
-
-_RUNNERS = {
-    "online": _run_online,
-    "pretrain": _run_pretrain,
-    "eval": _run_eval,
-    "explore": _run_explore,
-    "obstacle-gen": _run_obstacle,
-    "ablation-correlated": _run_ablation,
-    "diversity": _run_diversity,
-    "heatmap": _run_heatmap,
-}

@@ -1,8 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmplan.cli import main
 from ebmplan.energy import make_energy_model
@@ -183,6 +186,10 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"seeds": "0"}, "seeds"),
         ({"goal": "near"}, "goal"),
         ({"env_options": {"start": "x"}}, "'x'"),
+        ({"env_options": {"bogus": 1}}, "env_options"),
+        ({"env_options": {"walls": [[0.0, 0.0, 0.1, 0.1]]}}, "env_options"),
+        ({"env": "maze", "env_options": {"walls": [[0.0, 0.0]]}}, "env_options"),
+        ({"seeds": [0, 0]}, "distinct"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}
@@ -199,8 +206,46 @@ def test_eval_requires_checkpoint(tmp_path, capsys):
     config = tiny_configs(tmp_path)["eval"]
     config.pop("model_checkpoint")
     cfg_path = write_config(tmp_path, "eval.json", config)
-    assert main(["eval", "--config", cfg_path, "--quiet"]) == 2
+    out = tmp_path / "out-eval"
+    assert main(["eval", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
     assert "model_checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_runner_rejections_leave_no_out_dir(tmp_path, capsys):
+    configs = tiny_configs(tmp_path)
+    obstacle_on_reacher = {**configs["obstacle-gen"], "env": "reacher", "env_options": {}}
+    # (command, config a runner rejects after loading, a word the diagnostic must contain)
+    cases = [
+        ("online", {**configs["online"], "goal": [0.0, 0.0, 0.0]}, "goal"),
+        ("explore", {**configs["explore"], "explore_policy": "bogus"}, "bogus"),
+        ("obstacle-gen", obstacle_on_reacher, "particle"),
+    ]
+    for i, (command, config, word) in enumerate(cases):
+        cfg_path = write_config(tmp_path, f"rejected{i}.json", config)
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
+        assert not out.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+def test_multi_seed_rows_are_single_seed_rows_in_seed_order(seeds):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tiny_configs(tmp)["eval"]
+
+        def eval_lines(seed_list, name):
+            cfg_path = write_config(tmp, f"{name}.json", {**config, "seeds": seed_list})
+            out = tmp / name
+            assert main(["eval", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+            return (out / "eval.csv").read_text().splitlines()
+
+        merged = eval_lines(seeds, "merged")
+        singles = [eval_lines([seed], f"seed{seed}") for seed in sorted(seeds)]
+        assert merged == singles[0][:1] + [line for lines in singles for line in lines[1:]]
 
 
 def test_shipped_configs_parse():
