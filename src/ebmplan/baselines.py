@@ -127,8 +127,11 @@ def ff_plan(
     state to the goal. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
-    The scoring rollouts use a float32 copy of the net, made once per call;
-    the returned rollout uses the caller's float64 model, which is untouched.
+    The scoring rollouts use a float32 copy of the net, made once per call,
+    and step one packed float32 (state, action) buffer through it, so only the
+    final predicted states are upcast; the values are those of ``_rollout``
+    on the float32 copy. The returned rollout uses the caller's float64
+    model, which is untouched.
     """
     s_start = np.asarray(s_start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -138,10 +141,18 @@ def ff_plan(
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
     if action_clip is None:
         action_clip = lambda a: a
-    scorer = ActionFFModel(model.net.astype(np.float32), model.state_dim, model.action_dim)
+    scorer = model.net.astype(np.float32)
+    s_dim = model.state_dim
+    packed = np.empty((config.num_samples, s_dim + model.action_dim), dtype=np.float32)
 
     def distance_to_goal(samples: np.ndarray) -> np.ndarray:
-        return ((_rollout(scorer, s_start, samples)[:, -1, :] - goal) ** 2).sum(axis=1)
+        # each step writes its actions beside the predicted states and overwrites
+        # the states with the next prediction
+        packed[:, :s_dim] = s_start
+        for t in range(samples.shape[1]):
+            packed[:, s_dim:] = samples[:, t, :]
+            packed[:, :s_dim] = forward_cached(scorer, packed)[0]
+        return ((packed[:, :s_dim].astype(float) - goal) ** 2).sum(axis=1)
 
     candidate = mppi_refine(
         np.zeros((config.horizon - 1, model.action_dim)),

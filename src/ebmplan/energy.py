@@ -224,8 +224,9 @@ def sample_negative_pairs(
         raise ValueError(f"pair rows must have width {2 * model.state_dim}")
     scorer = EnergyModel(model.net.astype(np.float32), model.state_dim)
     current = seeds.copy()
-    for _ in range(num_iters):
-        noise = rng.normal(0.0, scale, size=(b, num_samples, width))
+    # one draw for every iteration: the same numbers as one draw per iteration
+    noises = rng.normal(0.0, scale, size=(num_iters, b, num_samples, width))
+    for noise in noises:
         candidates = current[:, None, :] + noise
         energies = transition_energies(scorer, candidates.reshape(b * num_samples, width))
         energies = energies.reshape(b, num_samples)

@@ -445,6 +445,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown environment kind {self.env!r}")
         if self.model not in ("ebm", "action-ff"):
             raise ValueError(f"unknown model kind {self.model!r}")
+        pretrains = self.kind in ("pretrain", "obstacle-gen", "ablation-correlated")
+        if pretrains and self.pretrain_steps < 1:
+            raise ValueError("pretrain_steps must be >= 1")
+        if self.kind == "diversity" and not self.horizons:
+            raise ValueError("horizons must be non-empty")
 
     def make_env(self) -> EnvSpec:
         options = dict(self.env_options)
@@ -491,9 +496,11 @@ class ExperimentConfig:
         config = cls(**data)
         # build the online section now, so a bad one fails before any output
         try:
-            config.online_config()
+            online = config.online_config()
         except TypeError as exc:
             raise ValueError(f"online: {exc}") from None
+        if config.kind == "online" and online.env_step_budget < 1:
+            raise ValueError("online.env_step_budget must be >= 1")
         return config
 
     @classmethod

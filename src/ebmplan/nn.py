@@ -30,14 +30,6 @@ from ._io import write_atomic
 ACTIVATIONS = ("tanh", "identity")
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
-
-
 def _activation_deriv_from_output(name: str, y: np.ndarray) -> np.ndarray:
     # tanh'(z) = 1 - tanh(z)^2, recoverable from the cached layer output.
     if name == "tanh":
@@ -184,7 +176,9 @@ def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, li
 
     Computes in the dtype of ``params``; the batch is cast to it. The cache
     holds the input followed by every layer output and is exactly what
-    ``backward`` needs.
+    ``backward`` needs. Each layer adds its bias and applies its activation
+    in place on the fresh product ``out @ W.T``, the only array it writes, so
+    the batch and earlier cache entries are never modified.
     """
     batch = _check_input(params, batch)
     if batch.ndim != 2:
@@ -192,7 +186,12 @@ def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, li
     cache = [batch]
     out = batch
     for w, b, act in zip(params.weights, params.biases, params.activations):
-        out = _apply_activation(act, out @ w.T + b)
+        out = out @ w.T
+        out += b
+        if act == "tanh":
+            np.tanh(out, out=out)
+        elif act != "identity":
+            raise ValueError(f"unknown activation {act!r}")
         cache.append(out)
     return out, cache
 

@@ -110,20 +110,35 @@ class SmoothNoiseGen:
         inv = np.linalg.solve(self.factor, np.eye(self.horizon))
         return inv @ inv.T
 
-    def sample(self, scale: float, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-        """One (T, d) perturbation, or a (n, T, d) batch when ``n`` is given."""
-        if scale < 0:
+    def sample(
+        self, scale: float | np.ndarray, rng: np.random.Generator, n: int | None = None
+    ) -> np.ndarray:
+        """One (T, d) perturbation, or a (n, T, d) batch when ``n`` is given.
+
+        ``scale`` may also be a 1-D array of K scales; the result then gains a
+        leading axis, (K, T, d) or (K, n, T, d). All K draws come from one
+        ``standard_normal`` call, so they equal, bit for bit, K calls with the
+        scalar scales in order, and leave ``rng`` in the same state.
+        """
+        scales = np.asarray(scale, dtype=float)
+        if scales.ndim > 1:
+            raise ValueError("scale must be a scalar or a 1-D array")
+        if (scales < 0).any():
             raise ValueError("scale must be non-negative")
         count = 1 if n is None else n
-        z = rng.standard_normal((self.horizon, count * self.state_dim)) * scale
+        k = scales.size
+        z = rng.standard_normal((k, self.horizon, count * self.state_dim))
+        z *= scales.reshape(k, 1, 1)
         y = np.empty_like(z)
-        y[0] = z[0]
+        y[:, 0] = z[:, 0]
         if self.horizon > 1:
-            y[1] = z[1] + 2.0 * y[0]
+            y[:, 1] = z[:, 1] + 2.0 * y[:, 0]
         for t in range(2, self.horizon):
-            y[t] = z[t] + 2.0 * y[t - 1] - y[t - 2]
-        out = y.reshape(self.horizon, count, self.state_dim).transpose(1, 0, 2)
-        return out[0] if n is None else out
+            y[:, t] = z[:, t] + 2.0 * y[:, t - 1] - y[:, t - 2]
+        out = y.reshape(k, self.horizon, count, self.state_dim).transpose(0, 2, 1, 3)
+        if n is None:
+            out = out[:, 0]
+        return out[0] if scales.ndim == 0 else out
 
 
 def mppi_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -148,22 +163,33 @@ def mppi_refine(
 ) -> np.ndarray:
     """Refine a (T, d) candidate by perturb-and-reweight; shared by both planners.
 
-    Each of ``config.num_iterations`` iterations draws ``num_samples``
-    perturbations (smooth noise for T >= 2, isotropic Gaussian for T = 1),
-    maps the perturbed candidates through ``project`` (which may modify its
-    (n, T, d) argument in place), scores them with ``score`` (lower is
-    better), and replaces the candidate by the MPPI-weighted average. Samples
-    with non-finite scores get weight zero; if every score is non-finite the
-    kernel raises. The noise scale decays by ``noise_decay`` per iteration.
+    Each of ``config.num_iterations`` iterations perturbs the candidate with
+    ``num_samples`` noise draws (smooth noise for T >= 2, isotropic Gaussian
+    for T = 1), maps the perturbed candidates through ``project`` (which may
+    modify its (n, T, d) argument in place), scores them with ``score``
+    (lower is better), and replaces the candidate by the MPPI-weighted
+    average. Samples with non-finite scores get weight zero; if every score
+    is non-finite the kernel raises. The noise scale decays by
+    ``noise_decay`` per iteration.
+
+    The noise of every iteration is drawn up front in one call, which gives
+    the same numbers and the same final ``rng`` state as one draw per
+    iteration only because ``project`` and ``score`` never draw from ``rng``;
+    a callback that did would see, and leave, a different stream.
     """
     horizon, dim = candidate.shape
-    gen = SmoothNoiseGen(horizon, dim) if horizon >= 2 else None
+    # the same repeated product as decaying inside the loop; decay ** k rounds differently
+    scales = np.empty(config.num_iterations)
     scale = config.noise_scale
-    for _ in range(config.num_iterations):
-        if gen is not None:
-            noise = gen.sample(scale, rng, n=config.num_samples)
-        else:
-            noise = rng.normal(0.0, scale, size=(config.num_samples, horizon, dim))
+    for k in range(config.num_iterations):
+        scales[k] = scale
+        scale *= config.noise_decay
+    if horizon >= 2:
+        noises = SmoothNoiseGen(horizon, dim).sample(scales, rng, n=config.num_samples)
+    else:
+        size = (config.num_iterations, config.num_samples, horizon, dim)
+        noises = rng.normal(0.0, scales[:, None, None, None], size=size)
+    for noise in noises:
         samples = project(candidate[None] + noise)
         scores = score(samples)
         finite = np.isfinite(scores)
@@ -172,7 +198,6 @@ def mppi_refine(
         weights = np.zeros(len(scores))
         weights[finite] = mppi_weights(scores[finite], config.temperature)
         candidate = np.einsum("n,ntd->td", weights, samples)
-        scale *= config.noise_decay
     return candidate
 
 

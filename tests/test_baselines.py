@@ -3,6 +3,7 @@ import pytest
 
 from ebmplan.baselines import (
     ActionFFModel,
+    _rollout,
     ff_mse_loss_and_grads,
     ff_plan,
     ff_predict,
@@ -12,7 +13,7 @@ from ebmplan.baselines import (
 )
 from ebmplan.envs import make_env, particle_env
 from ebmplan.nn import AdamHyper, MlpParams, adam_step, init_adam_state, mlp_forward
-from ebmplan.planner import PlannerConfig
+from ebmplan.planner import PlannerConfig, mppi_refine
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
 
@@ -164,6 +165,29 @@ def test_ff_plan_trajectory_is_rollout_of_actions():
         for t in range(actions.shape[0]):
             state = ff_predict(model, state, actions[t])
             assert np.array_equal(predicted[t + 1], state)
+
+
+def test_ff_plan_packed_scorer_matches_rollout_scorer():
+    # the packed float32 buffer must score exactly as _rollout on a float32 copy
+    spec = particle_env()
+    model = make_action_ff(2, 2, np.random.default_rng(8), (16, 16))
+    scorer = ActionFFModel(model.net.astype(np.float32), 2, 2)
+    start, goal = np.array([0.3, 0.25]), np.array([0.65, 0.53])
+
+    def rollout_distance(samples):
+        return ((_rollout(scorer, start, samples)[:, -1, :] - goal) ** 2).sum(axis=1)
+
+    for horizon in (14, 2):
+        config = PlannerConfig(
+            num_samples=128, num_iterations=5, horizon=horizon, noise_scale=0.012,
+            temperature=0.15,
+        )
+        candidate = np.zeros((horizon - 1, 2))
+        expected = mppi_refine(
+            candidate, spec.clip_action, rollout_distance, config, np.random.default_rng(3)
+        )
+        actions, _ = ff_plan(model, start, goal, config, np.random.default_rng(3), spec.clip_action)
+        assert np.array_equal(actions, expected)
 
 
 def test_ff_plan_leaves_model_unchanged():

@@ -190,12 +190,18 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"env_options": {"walls": [[0.0, 0.0, 0.1, 0.1]]}}, "env_options"),
         ({"env": "maze", "env_options": {"walls": [[0.0, 0.0]]}}, "env_options"),
         ({"seeds": [0, 0]}, "distinct"),
+        # configs that ask for no work
+        ({"kind": "pretrain", "pretrain_steps": 0}, "pretrain_steps"),
+        ({"kind": "obstacle-gen", "pretrain_steps": 0}, "pretrain_steps"),
+        ({"kind": "ablation-correlated", "pretrain_steps": 0}, "pretrain_steps"),
+        ({"online": {"env_step_budget": 0}}, "env_step_budget"),
+        ({"kind": "diversity", "horizons": []}, "horizons"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}
         cfg_path = write_config(tmp_path, f"bad{i}.json", config)
         out = tmp_path / f"out{i}"
-        assert main(["online", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
+        assert main([config["kind"], "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
         # rejected while loading, before any output is written

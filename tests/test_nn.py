@@ -65,6 +65,35 @@ def test_float32_forward_matches_float64_forward():
     assert np.allclose(out32, out64, rtol=1e-5, atol=1e-6)
 
 
+def test_forward_cached_is_bit_identical_to_out_of_place_reference():
+    # the in-place bias add and tanh must give exactly the out-of-place values
+    # at the shapes the shipped configs score: reacher pairs, FF rollout steps,
+    # pretraining negatives, and a few-row evaluation batch
+    shapes = ((1440, 8, 1), (128, 4, 2), (768, 4, 1), (768, 4, 2), (12, 8, 1))
+    for rows, in_dim, out_dim in shapes:
+        rng = np.random.default_rng(rows + out_dim)
+        net = mlp_init((in_dim, 64, 64, out_dim), rng)
+        for b in net.biases:
+            b[:] = rng.normal(scale=0.3, size=b.shape)
+        x64 = rng.normal(size=(rows, in_dim))
+        for dtype in (np.float32, np.float64):
+            params = net.astype(dtype)
+            x = x64.astype(dtype)
+            snapshot = x.copy()
+            out, cache = forward_cached(params, x)
+            assert np.array_equal(x, snapshot)
+            assert cache[0] is x
+            expected = [x]
+            for w, b, act in zip(params.weights, params.biases, params.activations):
+                z = expected[-1] @ w.T + b
+                expected.append(np.tanh(z) if act == "tanh" else z)
+            assert out is cache[-1]
+            assert len(cache) == len(expected)
+            for got, want in zip(cache, expected):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
+
+
 def test_astype_returns_fresh_arrays():
     net = small_net(13)
     for dtype in (np.float32, np.float64):

@@ -82,6 +82,79 @@ def test_smooth_noise_empirical_covariance():
     assert np.max(np.abs(empirical - expected) / np.abs(expected)) < 0.1
 
 
+def reference_smooth_noise(horizon, dim, scale, rng, n):
+    # one draw per call, recurrence over a 2-D array: the per-iteration form
+    z = rng.standard_normal((horizon, n * dim)) * scale
+    y = np.empty_like(z)
+    y[0] = z[0]
+    y[1] = z[1] + 2.0 * y[0]
+    for t in range(2, horizon):
+        y[t] = z[t] + 2.0 * y[t - 1] - y[t - 2]
+    return y.reshape(horizon, n, dim).transpose(1, 0, 2)
+
+
+def test_smooth_noise_scale_array_equals_scalar_draws_in_order():
+    scales = 0.02 * 0.92 ** np.arange(6)
+    for horizon, dim, n in ((16, 4, 96), (13, 2, 128), (2, 3, 5)):
+        gen = SmoothNoiseGen(horizon, dim)
+        rng = np.random.default_rng(horizon)
+        ref_rng = np.random.default_rng(horizon)
+        stacked = gen.sample(scales, rng, n=n)
+        assert stacked.shape == (len(scales), n, horizon, dim)
+        for k, scale in enumerate(scales):
+            expected = reference_smooth_noise(horizon, dim, scale, ref_rng, n)
+            assert np.array_equal(stacked[k], expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the scalar form and the n=None form are the K = 1 and n = 1 cases
+        single = gen.sample(scales[2], np.random.default_rng(1), n=n)
+        expected = reference_smooth_noise(horizon, dim, scales[2], np.random.default_rng(1), n)
+        assert np.array_equal(single, expected)
+        one = gen.sample(scales[:2], np.random.default_rng(2))
+        assert one.shape == (2, horizon, dim)
+        assert np.array_equal(one[1], gen.sample(scales[:2], np.random.default_rng(2), n=1)[1, 0])
+    with pytest.raises(ValueError):
+        gen.sample(np.array([0.1, -0.1]), np.random.default_rng(0))
+
+
+def reference_refine(candidate, project, score, config, rng):
+    # the kernel with one noise draw per iteration and the scale decayed in the loop
+    horizon, dim = candidate.shape
+    scale = config.noise_scale
+    for _ in range(config.num_iterations):
+        if horizon >= 2:
+            noise = reference_smooth_noise(horizon, dim, scale, rng, config.num_samples)
+        else:
+            noise = rng.normal(0.0, scale, size=(config.num_samples, horizon, dim))
+        samples = project(candidate[None] + noise)
+        weights = mppi_weights(score(samples), config.temperature)
+        candidate = np.einsum("n,ntd->td", weights, samples)
+        scale *= config.noise_decay
+    return candidate
+
+
+def test_mppi_refine_one_noise_draw_matches_per_iteration_draws():
+    target = np.array([0.3, -0.2])
+
+    def clip(samples):
+        np.clip(samples, -0.5, 0.5, out=samples)
+        return samples
+
+    def score(samples):
+        return ((samples - target) ** 2).sum(axis=(1, 2))
+
+    # T = 1 takes the isotropic path; the decayed scales must be the repeated
+    # product, which differs from noise_scale * noise_decay ** k in the last bit
+    config = PlannerConfig(num_samples=24, num_iterations=8, noise_scale=0.05, temperature=0.2)
+    for horizon in (1, 2, 7):
+        candidate = np.zeros((horizon, 2))
+        rng = np.random.default_rng(9)
+        ref_rng = np.random.default_rng(9)
+        out = mppi_refine(candidate.copy(), clip, score, config, rng)
+        expected = reference_refine(candidate.copy(), clip, score, config, ref_rng)
+        assert np.array_equal(out, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_mppi_weights_uniform_for_equal_scores():
     w = mppi_weights(np.full(8, 3.7))
     assert np.allclose(w, np.full(8, 1 / 8), rtol=1e-15)
