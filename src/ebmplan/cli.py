@@ -3,13 +3,15 @@
 Each subcommand maps to one experiment kind; all of them read a JSON config
 and write CSV (and, for heatmaps, SVG) outputs into the config's output
 directory. Exit code 0 on success, 2 with a diagnostic line on contract
-violations (bad configs, dimension mismatches), 1 on unexpected errors.
+violations (bad configs, unreadable files) and numerical blow-ups (any
+``RuntimeWarning``, such as an overflow), 1 on unexpected errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from ._alloc import tune_malloc
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
@@ -35,17 +37,22 @@ def main(argv: list[str] | None = None) -> int:
     tune_malloc()
     args = build_parser().parse_args(argv)
     try:
-        config = ExperimentConfig.from_json(args.config)
-        if config.kind != args.command:
-            raise ValueError(
-                f"config kind {config.kind!r} does not match subcommand {args.command!r}"
-            )
-        if args.seed is not None:
-            config.seeds = [args.seed]
-        if args.out is not None:
-            config.out_dir = args.out
-        out_dir = run_experiment(config, quiet=args.quiet)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            config = ExperimentConfig.from_json(args.config)
+            if config.kind != args.command:
+                raise ValueError(
+                    f"config kind {config.kind!r} does not match subcommand {args.command!r}"
+                )
+            if args.seed is not None:
+                config.seeds = [args.seed]
+            if args.out is not None:
+                config.out_dir = args.out
+            out_dir = run_experiment(config, quiet=args.quiet)
+    except RuntimeWarning as exc:
+        print(f"error: numerical blow-up: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

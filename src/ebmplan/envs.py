@@ -212,13 +212,20 @@ class EnvSpec:
     maze_layout: MazeLayout | None = None
 
 
+def _start_state(start, state_dim: int) -> np.ndarray:
+    start = np.asarray(start, dtype=float)
+    if start.shape != (state_dim,) or not np.isfinite(start).all():
+        raise ValueError(f"start must be {state_dim} finite numbers, got {start.tolist()}")
+    return start
+
+
 def particle_env(start: tuple[float, float] = (-0.5, -0.5)) -> EnvSpec:
     return EnvSpec(
         kind="particle",
         state_dim=2,
         action_dim=2,
         action_bound=PARTICLE_STEP_BOUND,
-        start_state=np.asarray(start, dtype=float),
+        start_state=_start_state(start, 2),
         step=particle_step,
         reward=particle_reward,
         inverse_dynamics=particle_inverse_dynamics,
@@ -230,7 +237,7 @@ def maze_env(
     layout: MazeLayout | None = None, start: tuple[float, float] = (-0.5, -0.8)
 ) -> EnvSpec:
     layout = default_maze_layout() if layout is None else layout
-    start_arr = np.asarray(start, dtype=float)
+    start_arr = _start_state(start, 2)
     if not layout.admissible(start_arr):
         raise ValueError("start state lies inside a wall")
     return EnvSpec(
@@ -253,7 +260,7 @@ def reacher_env(start: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0))
         state_dim=4,
         action_dim=2,
         action_bound=REACHER_TORQUE_BOUND,
-        start_state=np.asarray(start, dtype=float),
+        start_state=_start_state(start, 4),
         step=reacher_step,
         reward=reacher_reward,
         inverse_dynamics=reacher_inverse_dynamics,

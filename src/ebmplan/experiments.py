@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import types
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -51,6 +51,7 @@ from .planner import PlannerConfig, plan
 from .svg import write_heatmap_svg
 
 PRETRAIN_MODES = ("shuffled", "sequential-repeated")
+EXPLORE_POLICIES = ("random", "ebm-prior")
 EXPERIMENT_KINDS = (
     "pretrain",
     "online",
@@ -61,6 +62,8 @@ EXPERIMENT_KINDS = (
     "diversity",
     "heatmap",
 )
+# kinds that plan towards, or score against, the config's goal
+GOAL_KINDS = ("online", "eval", "obstacle-gen", "ablation-correlated", "diversity")
 
 CSV_HEADERS = {
     "online": ("seed", "step", "episode", "score", "loss", "executed", "occupancy"),
@@ -341,33 +344,38 @@ def energy_heatmap(
 # ---------------------------------------------------------------------------
 # experiment config
 
-_SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-_PLURAL_NAMES = {bool: "booleans", int: "integers", float: "numbers", str: "strings"}
+_SCALAR_NAMES = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
+_PLURAL_NAMES = {bool: "booleans", int: "integers", float: "finite numbers", str: "strings"}
 
 
 def _accepts(kind: type, value) -> bool:
-    # JSON has one number type: an integer may fill a float field, a bool fills
-    # only a bool field
+    # JSON has one number type: an integer may fill a float field, a bool only a
+    # bool field. A float field takes no NaN, Infinity or integer past float range.
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, (int, float))
+        return isinstance(value, (int, float)) and abs(value) <= float(np.finfo(float).max)
     return isinstance(value, kind)
 
 
-def _check_types(cls: type, data: dict, prefix: str = "") -> None:
-    """Reject a value whose JSON type does not match its field of ``cls``.
+def _build(cls: type, data: dict, prefix: str = ""):
+    """Build dataclass ``cls`` from a JSON object, checking each value's type.
 
     Field types in use: scalars, ``X | None``, ``list[X]``, ``tuple[X, ...]``,
     fixed-length ``tuple[X, X]``, ``dict``, and dataclass sections, which must
-    be JSON objects and are checked field by field. Unknown keys are left to
-    the caller.
+    be JSON objects (or instances) and are built recursively. A list becomes
+    a tuple wherever the field is a tuple. Unknown keys at any depth are
+    rejected by dotted path.
     """
     hints = get_type_hints(cls)
+    unknown = sorted(prefix + key for key in set(data) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    values = dict(data)
     for key, value in data.items():
-        hint = hints.get(key)
+        hint = hints[key]
         options = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-        if hint is None or (value is None and type(None) in options):
+        if value is None and type(None) in options:
             continue
         kind = options[0]
         origin, args = get_origin(kind), get_args(kind)
@@ -383,15 +391,18 @@ def _check_types(cls: type, data: dict, prefix: str = "") -> None:
                 bad = [type(v).__name__ for v in value if not _accepts(args[0], v)]
                 ok = not bad and (not fixed or len(value) == len(args))
                 got = f"a list with a {bad[0]}" if bad else f"a list of {len(value)}"
-        elif kind is dict or is_dataclass(kind):
+                values[key] = origin(value)
+        else:
             expected = "an object"
             ok = isinstance(value, dict) or (is_dataclass(kind) and isinstance(value, kind))
-        else:
-            continue
+            if ok and is_dataclass(kind) and isinstance(value, dict):
+                values[key] = _build(kind, value, f"{prefix}{key}.")
         if not ok:
             raise ValueError(f"{prefix}{key}: expected {expected}, got {got}")
-        if is_dataclass(kind) and isinstance(value, dict):
-            _check_types(kind, value, f"{prefix}{key}.")
+    try:
+        return cls(**values)
+    except TypeError as exc:  # a required field left out
+        raise ValueError(f"{prefix}{exc}") from None
 
 
 @dataclass
@@ -445,11 +456,30 @@ class ExperimentConfig:
             raise ValueError(f"unknown environment kind {self.env!r}")
         if self.model not in ("ebm", "action-ff"):
             raise ValueError(f"unknown model kind {self.model!r}")
-        pretrains = self.kind in ("pretrain", "obstacle-gen", "ablation-correlated")
-        if pretrains and self.pretrain_steps < 1:
-            raise ValueError("pretrain_steps must be >= 1")
+        if self.kind in ("diversity", "heatmap") and self.model != "ebm":
+            raise ValueError(f"experiment {self.kind!r} needs model 'ebm', an energy network")
+        for name in ("pretrain_steps", "dataset_reset_every", "repeat_factor", "episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        online = self.online_config()
+        if min((*self.hidden_sizes, *online.hidden_sizes), default=1) < 1:
+            raise ValueError("hidden_sizes and online.hidden_sizes must all be >= 1")
+        if self.kind == "online" and online.env_step_budget < 1:
+            raise ValueError("online.env_step_budget must be >= 1")
         if self.kind == "diversity" and not self.horizons:
             raise ValueError("horizons must be non-empty")
+        if self.kind == "eval" and self.model_checkpoint is None:
+            raise ValueError("experiment 'eval' needs model_checkpoint")
+        if self.kind == "explore" and self.explore_policy not in EXPLORE_POLICIES:
+            raise ValueError(f"unknown exploration policy {self.explore_policy!r}")
+        spec = self.make_env()
+        if self.kind == "obstacle-gen" and spec.kind != "particle":
+            raise ValueError("obstacle generalization runs on the particle environment")
+        if self.kind in GOAL_KINDS:
+            if self.goal is None:
+                raise ValueError(f"experiment {self.kind!r} needs a goal")
+            if np.shape(self.goal) != (spec.state_dim,):
+                raise ValueError(f"goal shape {np.shape(self.goal)} != ({spec.state_dim},)")
 
     def make_env(self) -> EnvSpec:
         options = dict(self.env_options)
@@ -458,50 +488,25 @@ class ExperimentConfig:
                 options["layout"] = MazeLayout(tuple(tuple(w) for w in options.pop("walls")))
             if self.env == "maze" and "walls_file" in options:
                 options["layout"] = load_maze_layout(options.pop("walls_file"))
-            if "start" in options:
-                options["start"] = tuple(options["start"])
             return make_env(self.env, **options)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"env_options: {exc}") from None
 
     def online_config(self) -> OnlineConfig:
-        extra = dict(self.online)
-        extra.setdefault("hidden_sizes", tuple(self.hidden_sizes))
-        extra.setdefault("adam", AdamHyper(learning_rate=self.learning_rate))
-        extra.setdefault("episode_length", self.episode_length)
-        if isinstance(extra.get("adam"), dict):
-            extra["adam"] = AdamHyper(**extra["adam"])
-        if "hidden_sizes" in extra:
-            extra["hidden_sizes"] = tuple(extra["hidden_sizes"])
-        return OnlineConfig(planner=self.planner, **extra)
+        """The ``online`` section over defaults taken from the top level."""
+        if "planner" in self.online:
+            raise ValueError("online.planner: the planner is set by the top-level section")
+        defaults = {
+            "planner": self.planner,
+            "hidden_sizes": self.hidden_sizes,
+            "adam": AdamHyper(learning_rate=self.learning_rate),
+            "episode_length": self.episode_length,
+        }
+        return _build(OnlineConfig, {**defaults, **self.online}, "online.")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        _check_types(cls, data)
-        if "online" in data:
-            _check_types(OnlineConfig, data["online"], "online.")
-        try:
-            if isinstance(data.get("planner"), dict):
-                data["planner"] = PlannerConfig(**data["planner"])
-        except TypeError as exc:
-            raise ValueError(f"planner: {exc}") from None
-        for key in ("hidden_sizes", "heatmap_displacement", "obstacle"):
-            if key in data and data[key] is not None:
-                data[key] = tuple(data[key])
-        config = cls(**data)
-        # build the online section now, so a bad one fails before any output
-        try:
-            online = config.online_config()
-        except TypeError as exc:
-            raise ValueError(f"online: {exc}") from None
-        if config.kind == "online" and online.env_step_budget < 1:
-            raise ValueError("online.env_step_budget must be >= 1")
-        return config
+        return _build(cls, data)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -518,22 +523,14 @@ def _log(quiet: bool, message: str) -> None:
         print(message, flush=True)
 
 
-def _load_model(config: ExperimentConfig, spec: EnvSpec):
+def _load_model(config: ExperimentConfig, spec: EnvSpec, seed: int):
+    """The checkpointed model, or without a checkpoint a fresh energy model."""
     if config.model_checkpoint is None:
-        raise ValueError(f"experiment {config.kind!r} needs model_checkpoint")
+        return make_energy_model(spec.state_dim, np.random.default_rng(seed), config.hidden_sizes)
     net = load_mlp(config.model_checkpoint)
     if config.model == "ebm":
         return EnergyModel(net, spec.state_dim)
     return ActionFFModel(net, spec.state_dim, spec.action_dim)
-
-
-def _goal_array(config: ExperimentConfig, spec: EnvSpec) -> np.ndarray:
-    if config.goal is None:
-        raise ValueError(f"experiment {config.kind!r} needs a goal")
-    goal = np.asarray(config.goal, dtype=float)
-    if goal.shape != (spec.state_dim,):
-        raise ValueError(f"goal shape {goal.shape} != ({spec.state_dim},)")
-    return goal
 
 
 # CSV_HEADERS key -> output file stem, where the two differ
@@ -556,6 +553,8 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
     tables, nets = {}, {}
     for seed in config.seeds:
         tables[seed], nets[seed], line = run_seed(config, spec, seed)
+        if nets[seed] is not None:
+            nets[seed].validate()  # a diverged net fails here, before any output
         _log(quiet, line)
     order = sorted(tables)
     for key in tables[order[0]]:
@@ -572,7 +571,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
 
 
 def _online_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    goal = _goal_array(config, spec)
+    goal = np.asarray(config.goal, dtype=float)
     train = online_train if config.model == "ebm" else online_train_action_ff
     result = train(spec, goal, config.online_config(), np.random.default_rng(seed))
     tables = {
@@ -588,7 +587,7 @@ def _pretrain(config: ExperimentConfig, model_kind: str, mode: str, dataset, rng
               learning_rate: float) -> PretrainResult:
     return pretrain(
         model_kind, dataset, mode, config.pretrain_steps, rng,
-        hidden_sizes=tuple(config.hidden_sizes),
+        hidden_sizes=config.hidden_sizes,
         adam=AdamHyper(learning_rate=learning_rate),
         batch_size=config.pretrain_batch,
         repeat_factor=config.repeat_factor,
@@ -606,8 +605,8 @@ def _pretrain_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 def _eval_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    goal = _goal_array(config, spec)
-    model = _load_model(config, spec)
+    goal = np.asarray(config.goal, dtype=float)
+    model = _load_model(config, spec, seed)
     scores = evaluate_model(model, spec, goal, config.planner, config.episodes,
                             config.episode_length, np.random.default_rng(seed))
     tables = {"eval": [(seed, i, s) for i, s in enumerate(scores)]}
@@ -629,13 +628,11 @@ def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     is evaluated on; the label fills the third CSV column.
     """
     if config.kind == "obstacle-gen":
-        if spec.kind != "particle":
-            raise ValueError("obstacle generalization runs on the particle environment")
         blocked = maze_env(MazeLayout((config.obstacle,)), start=tuple(spec.start_state))
         variants = [("shuffled", [("open", spec), ("obstacle", blocked)])]
     else:
         variants = [(mode, [(mode, spec)]) for mode in PRETRAIN_MODES]
-    goal = _goal_array(config, spec)
+    goal = np.asarray(config.goal, dtype=float)
     dataset = gen_random_dataset(
         spec, config.dataset_size, np.random.default_rng(seed), config.dataset_reset_every
     )
@@ -659,16 +656,11 @@ def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 def _diversity_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    goal = _goal_array(config, spec)
-    rng = np.random.default_rng(seed)
-    if config.model_checkpoint is not None:
-        model = _load_model(config, spec)
-    else:
-        model = make_energy_model(spec.state_dim, rng, tuple(config.hidden_sizes))
+    goal = np.asarray(config.goal, dtype=float)
+    model = _load_model(config, spec, seed)
     trial_seeds = [int(v) for v in np.random.SeedSequence(seed).generate_state(config.trials)]
-    spreads = run_diversity(
-        model, spec.start_state, goal, list(config.horizons), trial_seeds, config.planner
-    )
+    spreads = run_diversity(model, spec.start_state, goal, config.horizons, trial_seeds,
+                            config.planner)
     tables = {"diversity": [(seed, h, spreads[h]) for h in config.horizons]}
     spread_text = " ".join(f"T{h}={spreads[h]:.3f}" for h in config.horizons)
     return tables, None, f"diversity seed {seed}: {spread_text}"
@@ -687,15 +679,8 @@ _SEED_RUNNERS = {
 
 def _write_heatmap(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
     # not per seed, a header that depends on the resolution, and an SVG beside the CSV
-    if config.model_checkpoint is not None:
-        model = _load_model(config, spec)
-    else:
-        model = make_energy_model(
-            spec.state_dim, np.random.default_rng(config.seeds[0]), tuple(config.hidden_sizes)
-        )
-    matrix = energy_heatmap(
-        model, config.resolution, displacement=tuple(config.heatmap_displacement)
-    )
+    model = _load_model(config, spec, config.seeds[0])
+    matrix = energy_heatmap(model, config.resolution, displacement=config.heatmap_displacement)
     rows = [tuple(float(v) for v in row) for row in matrix]
     header = tuple(f"x{i}" for i in range(config.resolution))
     write_csv(out_dir / "heatmap.csv", header, rows)

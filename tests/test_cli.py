@@ -1,15 +1,22 @@
+import contextlib
+import io
 import json
 import tempfile
+import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ebmplan.cli import main
 from ebmplan.energy import make_energy_model
+from ebmplan.experiments import EXPERIMENT_KINDS, ExperimentConfig
 from ebmplan.nn import save_mlp
+from ebmplan.online import OnlineConfig
+from ebmplan.planner import PlannerConfig
 
 TINY_PLANNER = {"num_samples": 8, "num_iterations": 2, "horizon": 6, "noise_scale": 0.01}
 
@@ -196,6 +203,27 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"kind": "ablation-correlated", "pretrain_steps": 0}, "pretrain_steps"),
         ({"online": {"env_step_budget": 0}}, "env_step_budget"),
         ({"kind": "diversity", "horizons": []}, "horizons"),
+        # values a runner would crash on
+        ({"hidden_sizes": [0, 8]}, "hidden_sizes"),
+        ({"kind": "pretrain", "hidden_sizes": [0, 8]}, "hidden_sizes"),
+        ({"kind": "heatmap", "hidden_sizes": [8, -1]}, "hidden_sizes"),
+        ({"online": {"hidden_sizes": [0]}}, "online.hidden_sizes"),
+        ({"kind": "explore", "online": {"hidden_sizes": [0]}}, "online.hidden_sizes"),
+        ({"kind": "pretrain", "dataset_reset_every": 0}, "dataset_reset_every"),
+        ({"kind": "obstacle-gen", "dataset_reset_every": 0}, "dataset_reset_every"),
+        ({"kind": "ablation-correlated", "dataset_reset_every": 0}, "dataset_reset_every"),
+        ({"kind": "ablation-correlated", "repeat_factor": 0}, "repeat_factor"),
+        ({"kind": "explore", "env": "maze", "env_options": {"start": []}}, "start"),
+        ({"kind": "explore", "env": "maze", "env_options": {"start": [0]}}, "start"),
+        ({"kind": "obstacle-gen", "env_options": {"start": [0]}}, "start"),
+        ({"env_options": {"start": [0.1, float("nan")]}}, "start"),
+        ({"goal": [float("nan"), 0.0]}, "goal"),
+        ({"learning_rate": 10**400}, "learning_rate"),
+        ({"kind": "eval", "episodes": 0, "model_checkpoint": "model.npz"}, "episodes"),
+        ({"kind": "obstacle-gen", "episodes": 0}, "episodes"),
+        # kinds that read an energy network, given an action-FF checkpoint
+        ({"kind": "heatmap", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
+        ({"kind": "diversity", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}
@@ -226,6 +254,8 @@ def test_runner_rejections_leave_no_out_dir(tmp_path, capsys):
         ("online", {**configs["online"], "goal": [0.0, 0.0, 0.0]}, "goal"),
         ("explore", {**configs["explore"], "explore_policy": "bogus"}, "bogus"),
         ("obstacle-gen", obstacle_on_reacher, "particle"),
+        # a diverging run: numpy's overflow warning ends it
+        ("pretrain", {**configs["pretrain"], "learning_rate": 1e200}, "numerical blow-up"),
     ]
     for i, (command, config, word) in enumerate(cases):
         cfg_path = write_config(tmp_path, f"rejected{i}.json", config)
@@ -263,3 +293,84 @@ def test_shipped_configs_parse():
     for path in paths:
         config = ExperimentConfig.from_json(path)
         assert config.seeds
+
+
+# a bounded arbitrary JSON value; json.dumps writes NaN and Infinity, which
+# json.load reads back
+SMALL_INTS = st.integers(-2, 4)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL_INTS | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=3,
+)
+
+
+def _default(f):
+    return f.default_factory() if f.default_factory is not MISSING else f.default
+
+
+# (path into the config, the field's default) for every field a config can set
+FUZZ_FIELDS = (
+    [((f.name,), _default(f)) for f in fields(ExperimentConfig)]
+    + [(("planner", f.name), _default(f)) for f in fields(PlannerConfig)]
+    + [(("online", f.name), _default(f)) for f in fields(OnlineConfig)]
+    + [(("env_options", "start"), [0.0, 0.0])]
+)
+
+
+def values_for(default):
+    """Arbitrary JSON, or as often a value of the same JSON type as ``default``.
+
+    Most fields reject a value of another type at load already; values of the
+    right type reach the limits a run relies on.
+    """
+    if isinstance(default, bool) or not isinstance(default, (int, float, list, tuple)):
+        return JSON_VALUES
+    if isinstance(default, (list, tuple)):
+        return JSON_VALUES | st.lists(SMALL_INTS | st.floats(), max_size=3)
+    return JSON_VALUES | (SMALL_INTS if isinstance(default, int) else st.floats())
+
+
+REPLACEMENTS = st.sampled_from(FUZZ_FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field[0]), values_for(field[1]))
+)
+
+
+def run_with_field(tmp_path, command, config, path, value):
+    """Run ``command`` on ``config`` with the field at ``path`` set to ``value``.
+
+    Returns the exit code, what reached stderr (warnings included, one line
+    each) and whether the output directory exists.
+    """
+    config = dict(config)
+    if len(path) == 2:
+        config[path[0]] = {**config.get(path[0], {}), path[1]: value}
+    else:
+        config[path[0]] = value
+    cfg_path = write_config(tmp_path, f"fuzz-{command}.json", config)
+    out = tmp_path / f"out-fuzz-{command}"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", cfg_path, "--out", str(out), "--quiet"])
+    lines = err.getvalue() + "".join(f"warning: {w.message}\n" for w in caught)
+    return code, lines, out.exists()
+
+
+# no shrinking: each example runs every kind, so shrinking one takes minutes;
+# the assertion names the kind, and the example gives its field and value
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.fixed_dictionaries({command: REPLACEMENTS for command in EXPERIMENT_KINDS}))
+def test_any_one_field_value_exits_0_or_2_with_one_line(replacements):
+    # one (field path, value) replacement for each kind's config
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for command, config in tiny_configs(tmp).items():
+            path, value = replacements[command]
+            code, err, out_exists = run_with_field(tmp, command, config, path, value)
+            assert code in (0, 2), command
+            if code == 2:
+                assert err.startswith("error:") and err.count("\n") == 1, (command, err)
+                assert not out_exists, command

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmplan.envs import (
     MazeLayout,
+    clip_to_ball,
     default_maze_layout,
     load_maze_layout,
     make_env,
@@ -254,3 +257,38 @@ def test_reward_strictly_negative_away_from_goal():
     spec = particle_env()
     assert spec.reward(np.array([0.2, 0.2]), np.array([0.2, 0.21])) < 0.0
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4), st.floats(1e-3, 1e3))
+def test_clip_to_ball_keeps_inside_and_bounds_norm(vector, radius):
+    vector = np.array(vector)
+    clipped = clip_to_ball(vector, radius)
+    assert np.linalg.norm(clipped) <= radius * (1 + 1e-12)
+    if np.linalg.norm(vector) <= radius:
+        assert np.array_equal(clipped, vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-1e4, 1e4))
+def test_wrap_angle_lands_in_half_open_interval_by_whole_turns(theta):
+    wrapped = float(wrap_angle(theta))
+    assert -np.pi < wrapped <= np.pi
+    turns = (theta - wrapped) / (2 * np.pi)
+    assert abs(turns - round(turns)) <= 1e-9 * max(1.0, abs(theta))
+
+
+# a wall at least 0.05 wide and tall, and fractions that put a point strictly inside it
+CORNERS = st.floats(-1.0, 0.95)
+SIZES = st.floats(0.05, 1.0)
+INSIDE = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=60, deadline=None)
+@given(CORNERS, CORNERS, SIZES, SIZES, INSIDE, INSIDE, INSIDE, INSIDE)
+def test_segment_between_points_inside_one_wall_is_blocked(x0, y0, w, h, a, b, c, d):
+    x1, y1 = min(x0 + w, 1.0), min(y0 + h, 1.0)
+    layout = MazeLayout(((x0, y0, x1, y1),))
+    p = np.array([x0 + a * (x1 - x0), y0 + b * (y1 - y0)])
+    q = np.array([x0 + c * (x1 - x0), y0 + d * (y1 - y0)])
+    assert layout.segment_blocked(p, q)

@@ -12,6 +12,7 @@ from ebmplan.experiments import (
     gen_random_dataset,
     pretrain,
     run_diversity,
+    run_experiment,
     run_explore,
     run_policy_episode,
     write_csv,
@@ -247,6 +248,21 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"kind": "mystery"})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"kind": "online", "seeds": []})
+    with pytest.raises(ValueError, match="kind"):
+        ExperimentConfig.from_dict({})
+    with pytest.raises(ValueError, match=r"\['online.adam.bogus'\]"):
+        ExperimentConfig.from_dict({"kind": "explore", "online": {"adam": {"bogus": 1}}})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_experiment_writes_nothing_when_a_net_diverges(tmp_path):
+    config = ExperimentConfig.from_dict({
+        "kind": "pretrain", "hidden_sizes": [8], "dataset_size": 40, "pretrain_steps": 5,
+        "pretrain_batch": 8, "learning_rate": 1e200, "out_dir": str(tmp_path / "out"),
+    })
+    with pytest.raises(ValueError, match="non-finite"):
+        run_experiment(config, quiet=True)
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_config_builds_envs_and_planner():

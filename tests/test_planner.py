@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmplan.energy import EnergyModel, make_energy_model
 from ebmplan.planner import (
@@ -319,3 +321,50 @@ def test_planner_config_validation():
         PlannerConfig(score_mode="nonsense")
     with pytest.raises(ValueError):
         PlannerConfig(noise_decay=0.0)
+
+
+FINITE = st.floats(-1e6, 1e6)
+TEMPERATURES = st.floats(1e-3, 1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=40), TEMPERATURES)
+def test_mppi_weights_are_a_distribution(scores, temperature):
+    w = mppi_weights(np.array(scores), temperature)
+    assert (w >= 0).all()
+    assert abs(w.sum() - 1.0) <= 1e-12 * len(scores)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(FINITE | st.sampled_from([np.nan, np.inf, -np.inf]), min_size=1, max_size=12)
+       .filter(lambda scores: np.isfinite(scores).any()),
+       TEMPERATURES, st.integers(0, 2**32 - 1))
+def test_mppi_refine_gives_non_finite_scores_zero_weight(scores, temperature, seed):
+    scores = np.array(scores)
+    finite = np.isfinite(scores)
+    config = PlannerConfig(num_samples=len(scores), num_iterations=1, horizon=5,
+                           noise_scale=0.1, temperature=temperature)
+    seen = []
+
+    def score(samples):
+        seen.append(samples.copy())
+        return scores
+
+    out = mppi_refine(np.zeros((5, 2)), lambda samples: samples, score, config,
+                      np.random.default_rng(seed))
+    # the result is the weighted mean of the finite-scored samples alone
+    expected = np.einsum("n,ntd->td", mppi_weights(scores[finite], temperature),
+                         seen[0][finite])
+    assert np.allclose(out, expected, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+       st.sampled_from(["gaussian-goal", "prior-only"]), st.integers(0, 2**32 - 1))
+def test_plan_row_zero_is_the_start(start, score_mode, seed):
+    start = np.array(start)
+    model = make_energy_model(2, np.random.default_rng(seed), (8,))
+    config = PlannerConfig(num_samples=8, num_iterations=3, horizon=6, noise_scale=0.1,
+                           score_mode=score_mode)
+    traj = plan(model, start, np.zeros(2), config, np.random.default_rng(seed))
+    assert np.array_equal(traj[0], start)
