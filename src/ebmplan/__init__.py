@@ -30,12 +30,10 @@ from .envs import (
     EnvSpec,
     MazeLayout,
     default_maze_layout,
-    load_maze_layout,
     make_env,
     maze_env,
     particle_env,
     reacher_env,
-    save_maze_layout,
 )
 from .experiments import (
     ExperimentConfig,

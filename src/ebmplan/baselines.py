@@ -207,10 +207,7 @@ def online_train_action_ff(
             ]
         )
         fresh = np.concatenate([real[:-1], actions, real[1:]], axis=1)
-        batch = fresh
-        n_replay = config.batch_size if config.batch_size is not None else fresh.shape[0]
-        if len(buffer) > 0:
-            batch = np.concatenate([fresh, buffer.sample(n_replay, rng)])
+        batch = buffer.with_replay(fresh, config.batch_size, rng)
         model, adam_state, loss = ff_train_step(
             model,
             (batch[:, :s_dim], batch[:, s_dim:a_end], batch[:, a_end:]),

@@ -3,8 +3,8 @@
 Each subcommand maps to one experiment kind; all of them read a JSON config
 and write CSV (and, for heatmaps, SVG) outputs into the config's output
 directory. Exit code 0 on success, 2 with a diagnostic line on contract
-violations (bad configs, unreadable files) and numerical blow-ups (any
-``RuntimeWarning``, such as an overflow), 1 on unexpected errors.
+violations (bad configs, unreadable files) and numerical blow-ups (a
+``RuntimeWarning`` or a diverged training update), 1 on unexpected errors.
 """
 
 from __future__ import annotations

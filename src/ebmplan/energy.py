@@ -81,8 +81,7 @@ def check_trajectory(traj: np.ndarray, state_dim: int | None = None) -> np.ndarr
 
 def collate(traj: np.ndarray) -> np.ndarray:
     """Split a trajectory of T states into its T-1 consecutive pair rows."""
-    traj = check_trajectory(traj)
-    return pack_pairs(traj[:-1], traj[1:])
+    return _collate_batch(check_trajectory(traj)[None])
 
 
 def _collate_batch(trajs: np.ndarray) -> np.ndarray:
@@ -200,6 +199,15 @@ def contrastive_loss_and_grads(
     return loss, add_grads(grads_pos, grads_neg)
 
 
+def softmin_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Normalized ``exp(-(score - min) / temperature)`` over the last axis."""
+    # exponent floor keeps negligible weights out of the subnormal range,
+    # where arithmetic slows down by orders of magnitude on some hosts
+    shifted = -(scores - scores.min(axis=-1, keepdims=True)) / temperature
+    weights = np.exp(np.maximum(shifted, -650.0))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
 def sample_negative_pairs(
     model: EnergyModel,
     seed_pairs: np.ndarray,
@@ -229,9 +237,6 @@ def sample_negative_pairs(
     for noise in noises:
         candidates = current[:, None, :] + noise
         energies = transition_energies(scorer, candidates.reshape(b * num_samples, width))
-        energies = energies.reshape(b, num_samples)
-        shifted = -(energies - energies.min(axis=1, keepdims=True)) / temperature
-        weights = np.exp(np.maximum(shifted, -650.0))
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = softmin_weights(energies.reshape(b, num_samples), temperature)
         current = np.einsum("bn,bnw->bw", weights, candidates)
     return current

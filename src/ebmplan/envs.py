@@ -15,7 +15,6 @@ reproduces a reachable one-step transition exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -129,25 +128,6 @@ def maze_step(state: np.ndarray, action: np.ndarray, layout: MazeLayout) -> np.n
     if not layout.admissible(nxt) or layout.segment_blocked(state, nxt):
         return state.copy()
     return nxt
-
-
-def save_maze_layout(layout: MazeLayout, path: str | Path) -> None:
-    lines = ["# x_min, y_min, x_max, y_max"]
-    lines += [", ".join(repr(v) for v in rect) for rect in layout.walls]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_maze_layout(path: str | Path) -> MazeLayout:
-    walls = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        values = tuple(float(tok) for tok in line.split(","))
-        if len(values) != 4:
-            raise ValueError(f"expected 4 comma-separated values, got {line!r}")
-        walls.append(values)
-    return MazeLayout(tuple(walls))
 
 
 def default_maze_layout() -> MazeLayout:

@@ -36,18 +36,10 @@ from .energy import (
     sample_negative_pairs,
     transition_energies,
 )
-from .envs import (
-    ENV_FACTORIES,
-    EnvSpec,
-    MazeLayout,
-    load_maze_layout,
-    make_env,
-    maze_env,
-    occupancy_cells,
-)
-from .nn import AdamHyper, adam_step, init_adam_state, load_mlp, save_mlp
-from .online import OnlineConfig, online_train, plan_target
-from .planner import PlannerConfig, plan
+from .envs import ENV_FACTORIES, EnvSpec, MazeLayout, make_env, maze_env, occupancy_cells
+from .nn import AdamHyper, adam_step, check_update, init_adam_state, load_mlp, param_norm, save_mlp
+from .online import OnlineConfig, online_train
+from .planner import PlannerConfig, plan, plan_target
 from .svg import write_heatmap_svg
 
 PRETRAIN_MODES = ("shuffled", "sequential-repeated")
@@ -148,7 +140,8 @@ def pretrain(
     updates. The action-FF model fits next states by mean squared error. The
     energy model takes dataset pairs as positives and draws negatives fresh
     from the current model around them by perturb-and-reweight, at
-    ``negative_scale``; the action-FF model ignores that argument.
+    ``negative_scale``; the action-FF model ignores that argument. A diverged
+    update (see ``check_update``) raises.
     """
     states, actions, next_states = dataset
     if states.shape[0] == 0:
@@ -176,6 +169,7 @@ def pretrain(
     else:
         raise ValueError(f"unknown model kind {model_kind!r}")
     adam_state = init_adam_state(model.net)
+    initial_norm = param_norm(model.net)
     n = states.shape[0]
     losses = []
     for step in range(steps):
@@ -184,6 +178,7 @@ def pretrain(
         else:
             idx = np.array([(step // repeat_factor) % n])
         model, adam_state, loss = train_step(model, adam_state, idx)
+        check_update(f"pretrain step {step}", loss, model.net, initial_norm)
         if step % 100 == 0 or step == steps - 1:
             losses.append((step, loss))
     return PretrainResult(model, losses)
@@ -264,13 +259,10 @@ def run_explore(
     rng = np.random.default_rng(seed)
     if policy_kind == "random":
         episode_length = online_config.episode_length if online_config else 50
-        state = spec.start_state.copy()
+        _, _, reached = gen_random_dataset(spec, budget, rng, episode_length)
         visited: set = set()
         series = []
-        for step in range(1, budget + 1):
-            if (step - 1) > 0 and (step - 1) % episode_length == 0:
-                state = spec.start_state.copy()
-            state = spec.step(state, random_policy(spec, rng))
+        for step, state in enumerate(reached, start=1):
             visited |= occupancy_cells(state[None, :], cell_size)
             series.append((step, len(visited)))
         return series
@@ -295,12 +287,12 @@ def run_explore(
 def run_diversity(
     model: EnergyModel,
     s_start: np.ndarray,
-    goal: np.ndarray,
+    target,
     horizons: list[int],
     trial_seeds: list[int],
     planner_config: PlannerConfig,
 ) -> dict[int, float]:
-    """Mean pairwise distance between plan midpoints, per horizon."""
+    """Mean pairwise distance between midpoints of plans toward ``target``, per horizon."""
     if len(trial_seeds) < 2:
         raise ValueError("need at least two trials")
     spreads = {}
@@ -309,7 +301,7 @@ def run_diversity(
         midpoints = []
         for trial_seed in trial_seeds:
             rng = np.random.default_rng(trial_seed)
-            traj = plan(model, s_start, goal, config, rng)
+            traj = plan(model, s_start, target, config, rng)
             midpoints.append(traj[horizon // 2])
         midpoints = np.stack(midpoints)
         diffs = midpoints[:, None, :] - midpoints[None, :, :]
@@ -472,6 +464,9 @@ class ExperimentConfig:
             raise ValueError("experiment 'eval' needs model_checkpoint")
         if self.kind == "explore" and self.explore_policy not in EXPLORE_POLICIES:
             raise ValueError(f"unknown exploration policy {self.explore_policy!r}")
+        for key, top in (("env_step_budget", "budget"), ("occupancy_cell", "cell_size")):
+            if self.kind == "explore" and key in self.online:
+                raise ValueError(f"online.{key}: an explore run takes it from {top}")
         spec = self.make_env()
         if self.kind == "obstacle-gen" and spec.kind != "particle":
             raise ValueError("obstacle generalization runs on the particle environment")
@@ -486,8 +481,6 @@ class ExperimentConfig:
         try:
             if self.env == "maze" and "walls" in options:
                 options["layout"] = MazeLayout(tuple(tuple(w) for w in options.pop("walls")))
-            if self.env == "maze" and "walls_file" in options:
-                options["layout"] = load_maze_layout(options.pop("walls_file"))
             return make_env(self.env, **options)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"env_options: {exc}") from None
@@ -552,9 +545,10 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
     run_seed = _SEED_RUNNERS[config.kind]
     tables, nets = {}, {}
     for seed in config.seeds:
-        tables[seed], nets[seed], line = run_seed(config, spec, seed)
-        if nets[seed] is not None:
-            nets[seed].validate()  # a diverged net fails here, before any output
+        try:
+            tables[seed], nets[seed], line = run_seed(config, spec, seed)
+        except ValueError as exc:
+            raise ValueError(f"seed {seed}: {exc}") from None
         _log(quiet, line)
     order = sorted(tables)
     for key in tables[order[0]]:
@@ -656,10 +650,10 @@ def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 def _diversity_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    goal = np.asarray(config.goal, dtype=float)
+    target = plan_target(spec, np.asarray(config.goal, dtype=float), config.planner)
     model = _load_model(config, spec, seed)
     trial_seeds = [int(v) for v in np.random.SeedSequence(seed).generate_state(config.trials)]
-    spreads = run_diversity(model, spec.start_state, goal, config.horizons, trial_seeds,
+    spreads = run_diversity(model, spec.start_state, target, config.horizons, trial_seeds,
                             config.planner)
     tables = {"diversity": [(seed, h, spreads[h]) for h in config.horizons]}
     spread_text = " ".join(f"T{h}={spreads[h]:.3f}" for h in config.horizons)

@@ -279,6 +279,23 @@ def adam_step(
     return new_params, new_state
 
 
+def param_norm(params: MlpParams) -> float:
+    """Euclidean norm of all weights and biases together."""
+    return float(np.sqrt(sum(np.vdot(p, p) for p in (*params.weights, *params.biases))))
+
+
+def check_update(update: str, loss: float, params: MlpParams, initial_norm: float) -> None:
+    """Raise if an update diverged: its loss is non-finite, or the parameter
+    norm exceeds 100 times ``initial_norm``, its value before the first update.
+    """
+    norm = param_norm(params)
+    if not (np.isfinite(loss) and norm <= 100.0 * initial_norm):
+        raise ValueError(
+            f"numerical blow-up: {update}: loss {loss:.4g}, parameter norm {norm:.4g} "
+            f"from {initial_norm:.4g} before the first update"
+        )
+
+
 CHECKPOINT_VERSION = 1
 
 

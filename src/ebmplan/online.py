@@ -25,9 +25,9 @@ from .energy import (
     contrastive_loss_and_grads,
     make_energy_model,
 )
-from .envs import EnvSpec, occupancy_cells, vectorized_reward
-from .nn import AdamHyper, AdamState, adam_step, init_adam_state
-from .planner import PlannerConfig, plan
+from .envs import EnvSpec, occupancy_cells
+from .nn import AdamHyper, AdamState, adam_step, check_update, init_adam_state, param_norm
+from .planner import PlannerConfig, plan, plan_target
 
 
 class ReplayBuffer:
@@ -71,6 +71,17 @@ class ReplayBuffer:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
         return self._rows[self._slots(idx)]
+
+    def with_replay(
+        self, fresh: np.ndarray, n: int | None, rng: np.random.Generator
+    ) -> np.ndarray:
+        """``fresh`` followed by ``n`` sampled rows, ``len(fresh)`` when ``n`` is None.
+
+        While the buffer is empty, ``fresh`` alone.
+        """
+        if self._size == 0:
+            return fresh
+        return np.concatenate([fresh, self.sample(len(fresh) if n is None else n, rng)])
 
     def as_array(self) -> np.ndarray:
         """The stored rows, oldest first."""
@@ -136,31 +147,6 @@ def execute_plan(
     return np.stack(real), planned[:executed].copy()
 
 
-def _cut_at_goal(
-    spec: EnvSpec,
-    goal: np.ndarray | None,
-    tolerance: float,
-    real: np.ndarray,
-    prefix: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    # Drop transitions past the first goal hit so the episode ends exactly there.
-    if goal is None:
-        return real, prefix
-    for i in range(1, real.shape[0]):
-        if spec.reward(real[i], goal) >= -tolerance:
-            return real[: i + 1], prefix[: i + 1]
-    return real, prefix
-
-
-def plan_target(spec: EnvSpec, goal: np.ndarray | None, config: PlannerConfig):
-    """What ``plan`` scores against: the goal, a reward function, or nothing."""
-    if config.score_mode == "reward":
-        return vectorized_reward(spec, goal)
-    if config.score_mode == "prior-only":
-        return None
-    return goal
-
-
 def contrastive_update(
     model: EnergyModel,
     adam_state: AdamState,
@@ -179,14 +165,8 @@ def contrastive_update(
     b_pos, b_neg = buffers
     fresh_pos = collate(real)
     fresh_neg = collate(prefix)
-    n_replay = config.batch_size if config.batch_size is not None else fresh_pos.shape[0]
-    pos_batch = fresh_pos
-    neg_batch = fresh_neg
-    if len(b_pos) > 0:
-        pos_batch = np.concatenate([fresh_pos, b_pos.sample(n_replay, rng)])
-    if len(b_neg) > 0:
-        neg_batch = np.concatenate([fresh_neg, b_neg.sample(n_replay, rng)])
-
+    pos_batch = b_pos.with_replay(fresh_pos, config.batch_size, rng)
+    neg_batch = b_neg.with_replay(fresh_neg, config.batch_size, rng)
     loss, grads = contrastive_loss_and_grads(model, pos_batch, neg_batch, config.l2_coeff)
     net, new_adam = adam_step(model.net, grads, adam_state, config.adam)
     b_pos.add(fresh_pos)
@@ -229,9 +209,11 @@ def run_online(
     Adam state and training loss. Episodes reset to the start state after
     ``episode_length`` transitions or on reaching the goal; only completed
     episodes enter the score series, and an episode's score sums the reward
-    of every state reached by an executed transition.
+    of every state reached by an executed transition. A diverged update
+    (see ``check_update``) raises.
     """
     adam_state = init_adam_state(model.net)
+    initial_norm = param_norm(model.net)
     state = spec.start_state.copy()
     steps_total = 0
     episode_idx = 0
@@ -247,16 +229,21 @@ def run_online(
         )
         planned = propose(model, state, rng)[: max_h + 1]
         real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
-        real, prefix = _cut_at_goal(spec, goal, config.goal_tolerance, real, prefix)
+        # one reward per executed state; the episode ends exactly at the first goal hit
+        rewards, reached = [], False
+        for i in range(1, real.shape[0] if goal is not None else 1):
+            rewards.append(spec.reward(real[i], goal))
+            if rewards[-1] >= -config.goal_tolerance:
+                real, prefix, reached = real[: i + 1], prefix[: i + 1], True
+                break
         model, adam_state, loss = learn(model, adam_state, real, prefix, rng)
+        check_update(f"online update {len(metrics)}", loss, model.net, initial_norm)
         executed = real.shape[0] - 1
-        if goal is not None:
-            episode_return += sum(spec.reward(real[i], goal) for i in range(1, real.shape[0]))
+        episode_return += sum(rewards)
         episode_steps += executed
         steps_total += executed
         visited |= occupancy_cells(real[1:], config.occupancy_cell)
         state = real[-1]
-        reached = goal is not None and spec.reward(state, goal) >= -config.goal_tolerance
         metrics.append(
             OnlineMetricsRow(
                 step=steps_total,

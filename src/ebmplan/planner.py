@@ -27,8 +27,10 @@ from .energy import (
     fixed_goal_scores,
     goal_scores,
     reward_scores,
+    softmin_weights,
     trajectory_energies,
 )
+from .envs import EnvSpec, vectorized_reward
 
 SCORE_MODES = ("gaussian-goal", "fixed-goal", "reward", "prior-only")
 
@@ -148,10 +150,7 @@ def mppi_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("scores must be a non-empty 1-D array")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    # exponent floor keeps negligible weights out of the subnormal range,
-    # where arithmetic slows down by orders of magnitude on some hosts
-    w = np.exp(np.maximum(-(scores - scores.min()) / temperature, -650.0))
-    return w / w.sum()
+    return softmin_weights(scores, temperature)
 
 
 def mppi_refine(
@@ -201,32 +200,33 @@ def mppi_refine(
     return candidate
 
 
-def _score_samples(
+def plan_target(spec: EnvSpec, goal: np.ndarray | None, config: PlannerConfig):
+    """What ``plan`` scores against: the goal, a reward function, or nothing."""
+    if config.score_mode == "reward":
+        return vectorized_reward(spec, goal)
+    if config.score_mode == "prior-only":
+        return None
+    return goal
+
+
+def _scorer(
     model: EnergyModel,
-    samples: np.ndarray,
     target: np.ndarray | Callable[[np.ndarray], np.ndarray] | None,
     config: PlannerConfig,
-) -> np.ndarray:
-    if config.score_mode == "gaussian-goal":
-        return goal_scores(model, samples, target, config.goal_weight)
-    if config.score_mode == "fixed-goal":
-        return fixed_goal_scores(model, samples, target)
-    if config.score_mode == "reward":
-        return reward_scores(model, samples, target)
-    return trajectory_energies(model, samples)
-
-
-def _check_target(config: PlannerConfig, target, state_dim: int):
-    if config.score_mode in ("gaussian-goal", "fixed-goal"):
-        target = np.asarray(target, dtype=float)
-        if target.shape != (state_dim,):
-            raise ValueError(f"goal shape {target.shape} != ({state_dim},)")
-        return target
+) -> Callable[[np.ndarray], np.ndarray]:
+    # checks ``target`` against the score mode once; the scorer maps (n, T, d) -> (n,)
     if config.score_mode == "reward":
         if not callable(target):
             raise ValueError("reward score_mode needs a callable target")
-        return target
-    return None
+        return lambda samples: reward_scores(model, samples, target)
+    if config.score_mode == "prior-only":
+        return lambda samples: trajectory_energies(model, samples)
+    goal = np.asarray(target, dtype=float)
+    if goal.shape != (model.state_dim,):
+        raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
+    if config.score_mode == "fixed-goal":
+        return lambda samples: fixed_goal_scores(model, samples, goal)
+    return lambda samples: goal_scores(model, samples, goal, config.goal_weight)
 
 
 def plan(
@@ -240,9 +240,9 @@ def plan(
 
     The candidate starts as the constant trajectory at the start state. Each
     iteration draws ``num_samples`` smooth perturbations of the candidate,
-    re-clamps their first state, scores them according to ``score_mode``
-    (``target`` is a goal vector, a vectorized reward function, or None for
-    prior-only), and averages them under the MPPI weights. Samples with
+    re-clamps their first state, scores them against ``target`` by
+    ``score_mode`` (``plan_target`` builds the target: a goal vector, a reward
+    function, or None), and averages them under the MPPI weights. Samples with
     non-finite scores get weight zero; if every score is non-finite the
     planner raises.
 
@@ -253,8 +253,7 @@ def plan(
     s_start = np.asarray(s_start, dtype=float)
     if s_start.shape != (model.state_dim,):
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
-    target = _check_target(config, target, model.state_dim)
-    scorer = EnergyModel(model.net.astype(np.float32), model.state_dim)
+    score = _scorer(EnergyModel(model.net.astype(np.float32), model.state_dim), target, config)
 
     def clamp_start(samples: np.ndarray) -> np.ndarray:
         samples[:, 0, :] = s_start
@@ -263,7 +262,7 @@ def plan(
     candidate = mppi_refine(
         np.tile(s_start, (config.horizon, 1)),
         clamp_start,
-        lambda samples: _score_samples(scorer, samples, target, config),
+        score,
         config,
         rng,
     )

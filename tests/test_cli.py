@@ -16,7 +16,7 @@ from ebmplan.energy import make_energy_model
 from ebmplan.experiments import EXPERIMENT_KINDS, ExperimentConfig
 from ebmplan.nn import save_mlp
 from ebmplan.online import OnlineConfig
-from ebmplan.planner import PlannerConfig
+from ebmplan.planner import SCORE_MODES, PlannerConfig
 
 TINY_PLANNER = {"num_samples": 8, "num_iterations": 2, "horizon": 6, "noise_scale": 0.01}
 
@@ -203,6 +203,9 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"kind": "ablation-correlated", "pretrain_steps": 0}, "pretrain_steps"),
         ({"online": {"env_step_budget": 0}}, "env_step_budget"),
         ({"kind": "diversity", "horizons": []}, "horizons"),
+        # explore sets these from budget and cell_size
+        ({"kind": "explore", "online": {"env_step_budget": 3}, "budget": 12}, "budget"),
+        ({"kind": "explore", "online": {"occupancy_cell": 0.2}}, "cell_size"),
         # values a runner would crash on
         ({"hidden_sizes": [0, 8]}, "hidden_sizes"),
         ({"kind": "pretrain", "hidden_sizes": [0, 8]}, "hidden_sizes"),
@@ -254,8 +257,12 @@ def test_runner_rejections_leave_no_out_dir(tmp_path, capsys):
         ("online", {**configs["online"], "goal": [0.0, 0.0, 0.0]}, "goal"),
         ("explore", {**configs["explore"], "explore_policy": "bogus"}, "bogus"),
         ("obstacle-gen", obstacle_on_reacher, "particle"),
-        # a diverging run: numpy's overflow warning ends it
+        # diverging runs: numpy's overflow warning or the divergence guard ends them
         ("pretrain", {**configs["pretrain"], "learning_rate": 1e200}, "numerical blow-up"),
+        ("pretrain", {**configs["pretrain"], "learning_rate": 1e6}, "numerical blow-up"),
+        ("online", {**configs["online"], "learning_rate": 1e6}, "numerical blow-up"),
+        ("online", {**configs["online"], "model": "action-ff", "learning_rate": 1e6},
+         "numerical blow-up"),
     ]
     for i, (command, config, word) in enumerate(cases):
         cfg_path = write_config(tmp_path, f"rejected{i}.json", config)
@@ -264,6 +271,18 @@ def test_runner_rejections_leave_no_out_dir(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
         assert not out.exists()
+
+
+def test_diversity_runs_in_every_score_mode(tmp_path):
+    base = tiny_configs(tmp_path)["diversity"]
+    for mode in SCORE_MODES:
+        config = {**base, "planner": {**base["planner"], "score_mode": mode}}
+        cfg_path = write_config(tmp_path, f"diversity-{mode}.json", config)
+        out = tmp_path / f"out-{mode}"
+        assert main(["diversity", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+        assert len((out / "diversity.csv").read_text().splitlines()) == 1 + len(
+            config["horizons"]
+        )
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,10 +11,12 @@ from ebmplan.energy import (
     pack_pairs,
     reward_scores,
     sample_negative_pairs,
+    softmin_weights,
     trajectory_energies,
     transition_energies,
 )
 from ebmplan.nn import AdamHyper, adam_step, init_adam_state, mlp_forward
+from ebmplan.planner import mppi_weights
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
 
@@ -344,3 +346,12 @@ def test_scores_of_float32_net_are_float64_and_match_float64_net():
         got = score(model32, trajs, *extra)
         assert got.dtype == np.float64, score.__name__
         assert np.allclose(got, want, rtol=1e-5, atol=1e-5), score.__name__
+
+
+def test_softmin_weights_rows_equal_mppi_weights_bit_for_bit():
+    # the negative sampler weighs a batch of rows; MPPI weighs one score vector
+    scores = np.random.default_rng(4).normal(scale=300.0, size=(5, 16))
+    for temperature in (1.0, 0.15):
+        batch = softmin_weights(scores, temperature)
+        for row, weights in zip(scores, batch):
+            assert np.array_equal(weights, mppi_weights(row, temperature))

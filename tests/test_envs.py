@@ -7,7 +7,6 @@ from ebmplan.envs import (
     MazeLayout,
     clip_to_ball,
     default_maze_layout,
-    load_maze_layout,
     make_env,
     maze_env,
     maze_step,
@@ -16,7 +15,6 @@ from ebmplan.envs import (
     particle_step,
     reacher_env,
     reacher_step,
-    save_maze_layout,
     wrap_angle,
 )
 
@@ -216,14 +214,6 @@ def test_occupancy_examples():
 def test_occupancy_rejects_bad_cell_size():
     with pytest.raises(ValueError):
         occupancy_cells(np.zeros((1, 2)), 0.0)
-
-
-def test_maze_layout_round_trip(tmp_path):
-    layout = default_maze_layout()
-    path = tmp_path / "maze.txt"
-    save_maze_layout(layout, path)
-    loaded = load_maze_layout(path)
-    assert loaded == layout
 
 
 def test_maze_layout_validation():

@@ -260,7 +260,7 @@ def test_run_experiment_writes_nothing_when_a_net_diverges(tmp_path):
         "kind": "pretrain", "hidden_sizes": [8], "dataset_size": 40, "pretrain_steps": 5,
         "pretrain_batch": 8, "learning_rate": 1e200, "out_dir": str(tmp_path / "out"),
     })
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="seed 0: numerical blow-up: pretrain step 0"):
         run_experiment(config, quiet=True)
     assert not (tmp_path / "out").exists()
 

@@ -13,6 +13,7 @@ from ebmplan.online import (
     contrastive_update,
     execute_plan,
     online_train,
+    run_online,
 )
 from ebmplan.planner import PlannerConfig, plan
 
@@ -104,6 +105,17 @@ def test_replay_buffer_sampling_with_replacement():
 def test_replay_buffer_empty_sample_raises():
     with pytest.raises(ValueError):
         ReplayBuffer(capacity=2).sample(1, np.random.default_rng(0))
+
+
+def test_replay_buffer_with_replay_appends_draws_to_fresh_rows():
+    buf = ReplayBuffer(capacity=8)
+    fresh = np.arange(6, dtype=float).reshape(3, 2)
+    assert buf.with_replay(fresh, None, np.random.default_rng(0)) is fresh
+    buf.add(-fresh)
+    for n, expected_draws in ((None, 3), (5, 5)):
+        mixed = buf.with_replay(fresh, n, np.random.default_rng(1))
+        assert np.array_equal(mixed[:3], fresh)
+        assert np.array_equal(mixed[3:], buf.sample(expected_draws, np.random.default_rng(1)))
 
 
 def plan_execute_update(spec, model, goal, buffers, config, rng):
@@ -224,6 +236,33 @@ def test_online_train_respects_budget_and_episode_length():
             assert row.step > steps
             steps = row.step
         assert len(result.episode_scores) >= 2
+
+
+def test_run_online_ends_the_episode_at_the_first_goal_hit():
+    spec = particle_env(start=(0.0, 0.0))
+    goal = np.array([0.1, 0.0])
+    # a feasible straight plan through x = 0.03, 0.06, 0.09, 0.12, 0.15; only
+    # x = 0.09 lies within the tolerance of the goal
+    config = tiny_config(env_step_budget=6, episode_length=10, goal_tolerance=0.015)
+    model = make_energy_model(2, np.random.default_rng(0), (4,))
+    starts, lengths = [], []
+
+    def propose(model, state, rng):
+        starts.append(state.copy())
+        return state + np.arange(6)[:, None] * np.array([0.03, 0.0])
+
+    def learn(model, adam_state, real, prefix, rng):
+        lengths.append((real.shape[0], prefix.shape[0]))
+        return model, adam_state, 0.0
+
+    result = run_online(spec, goal, config, np.random.default_rng(0), model, propose, learn)
+    assert lengths == [(4, 4), (4, 4)]
+    assert [row.executed for row in result.metrics] == [3, 3]
+    assert [row.episode for row in result.metrics] == [0, 1]
+    assert np.array_equal(starts[1], spec.start_state)
+    rewards = [spec.reward(np.array([0.03 * i, 0.0]), goal) for i in (1, 2, 3)]
+    assert result.episode_scores[0] == pytest.approx(sum(rewards), abs=1e-12)
+    assert len(result.episode_scores) == 2
 
 
 def test_online_config_validation():
