@@ -120,11 +120,13 @@ def ff_plan(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plan a (horizon-1, action_dim) action sequence by MPPI in action space.
 
-    Sampled action sequences are perturbed by ``mppi_refine`` (smooth noise,
-    or isotropic noise for a single action), clipped by ``action_clip`` (the
-    environment's admissible-action projection; must accept batches), rolled
-    through the model, and scored by squared distance of the predicted final
-    state to the goal. Returns the weighted-average
+    Sampled action sequences are perturbed by ``mppi_refine`` with smooth
+    noise, clipped by ``action_clip`` (the environment's admissible-action
+    projection; must accept batches), rolled through the model, and scored by
+    the squared distance of the predicted final state to the goal. That is
+    always the objective: ``config.score_mode`` and ``config.goal_weight`` are
+    ignored, so the baseline does not plan against the objective of an energy
+    model given the same ``planner`` section. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
     The scoring rollouts use a float32 copy of the net, made once per call,

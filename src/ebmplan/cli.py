@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 
 from ._alloc import tune_malloc
 from .experiments import EXPERIMENT_KINDS, ExperimentConfig, run_experiment
@@ -44,10 +45,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(
                     f"config kind {config.kind!r} does not match subcommand {args.command!r}"
                 )
-            if args.seed is not None:
-                config.seeds = [args.seed]
-            if args.out is not None:
-                config.out_dir = args.out
+            # replace re-runs the load-time checks on the overridden fields
+            seeds = config.seeds if args.seed is None else [args.seed]
+            config = replace(config, seeds=seeds,
+                             out_dir=config.out_dir if args.out is None else args.out)
             out_dir = run_experiment(config, quiet=args.quiet)
     except RuntimeWarning as exc:
         print(f"error: numerical blow-up: {exc}", file=sys.stderr)

@@ -154,14 +154,6 @@ def reward_scores(
     return trajectory_energies(model, trajs) - rewards.sum(axis=1)
 
 
-def _pad_to(pairs: np.ndarray, size: int) -> np.ndarray:
-    # Deterministic cyclic resampling keeps the loss pure and runs replayable.
-    if pairs.shape[0] == size:
-        return pairs
-    reps = -(-size // pairs.shape[0])
-    return np.tile(pairs, (reps, 1))[:size]
-
-
 def contrastive_loss_and_grads(
     model: EnergyModel,
     positives: np.ndarray,
@@ -172,19 +164,17 @@ def contrastive_loss_and_grads(
 
     Positive pairs are observed transitions whose energy is pushed down;
     negative pairs come from the model's own plans and are pushed up. The
-    squared terms keep energies from drifting. Unequal batch sizes are
-    reconciled by cyclically resampling the smaller batch.
+    squared terms keep energies from drifting. The two batches must have
+    the same number of rows.
     """
     positives = np.atleast_2d(np.asarray(positives, dtype=float))
     negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
-    if positives.shape[0] == 0 or negatives.shape[0] == 0:
-        raise ValueError("both batches must be non-empty")
+    n = positives.shape[0]
+    if n == 0 or negatives.shape[0] != n:
+        raise ValueError(f"batches must be non-empty and equal, got {n} and {len(negatives)} rows")
     width = 2 * model.state_dim
     if positives.shape[1] != width or negatives.shape[1] != width:
         raise ValueError(f"pair rows must have width {width}")
-    n = max(positives.shape[0], negatives.shape[0])
-    positives = _pad_to(positives, n)
-    negatives = _pad_to(negatives, n)
 
     e_pos, cache_pos = forward_cached(model.net, positives)
     e_neg, cache_neg = forward_cached(model.net, negatives)

@@ -246,20 +246,19 @@ def run_explore(
     budget: int,
     cell_size: float,
     seed: int,
-    online_config: OnlineConfig | None = None,
+    online_config: OnlineConfig,
 ) -> list[tuple[int, int]]:
     """Occupancy-versus-step series for one seed.
 
-    ``random`` rolls the uniform policy; ``ebm-prior`` trains an energy model
-    online with prior-only (goal-free) planning and reads occupancy off its
+    ``random`` rolls the uniform policy, reset every ``episode_length`` steps;
+    ``ebm-prior`` trains an energy model with prior-only planning and reads its
     metrics. Occupancy counts distinct cells entered by executed transitions.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     if policy_kind == "random":
-        episode_length = online_config.episode_length if online_config else 50
-        _, _, reached = gen_random_dataset(spec, budget, rng, episode_length)
+        _, _, reached = gen_random_dataset(spec, budget, rng, online_config.episode_length)
         visited: set = set()
         series = []
         for step, state in enumerate(reached, start=1):
@@ -267,8 +266,6 @@ def run_explore(
             series.append((step, len(visited)))
         return series
     if policy_kind == "ebm-prior":
-        if online_config is None:
-            raise ValueError("ebm-prior exploration needs an online config")
         config = replace(
             online_config,
             planner=replace(online_config.planner, score_mode="prior-only"),
@@ -440,10 +437,12 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ValueError("seeds must be a non-empty list of non-negative integers")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
+        if self.kind == "heatmap" and len(self.seeds) != 1:
+            raise ValueError("experiment 'heatmap' renders one model: give exactly one seed")
         if self.env not in ENV_FACTORIES:
             raise ValueError(f"unknown environment kind {self.env!r}")
         if self.model not in ("ebm", "action-ff"):
@@ -478,8 +477,12 @@ class ExperimentConfig:
 
     def make_env(self) -> EnvSpec:
         options = dict(self.env_options)
+        accepted = {"start", "walls"} if self.env == "maze" else {"start"}
+        unknown = sorted(f"env_options.{key}" for key in set(options) - accepted)
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         try:
-            if self.env == "maze" and "walls" in options:
+            if "walls" in options:
                 options["layout"] = MazeLayout(tuple(tuple(w) for w in options.pop("walls")))
             return make_env(self.env, **options)
         except (TypeError, ValueError) as exc:

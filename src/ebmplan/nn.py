@@ -30,15 +30,6 @@ from ._io import write_atomic
 ACTIVATIONS = ("tanh", "identity")
 
 
-def _activation_deriv_from_output(name: str, y: np.ndarray) -> np.ndarray:
-    # tanh'(z) = 1 - tanh(z)^2, recoverable from the cached layer output.
-    if name == "tanh":
-        return 1.0 - y * y
-    if name == "identity":
-        return np.ones_like(y)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 @dataclass
 class MlpParams:
     """Weights, biases and per-layer activation names of a dense MLP."""
@@ -74,13 +65,6 @@ class MlpParams:
                 )
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i}: non-finite parameter entries")
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            list(self.activations),
-        )
 
     def astype(self, dtype) -> "MlpParams":
         """A copy with every weight and bias cast to ``dtype``; never aliases."""
@@ -120,16 +104,12 @@ class AdamHyper:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
 
-def mlp_init(
-    layer_dims: Sequence[int],
-    rng: np.random.Generator,
-    hidden_activation: str = "tanh",
-    final_activation: str = "identity",
-) -> MlpParams:
+def mlp_init(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     """Build an MLP with fan-in-scaled uniform weights and zero biases.
 
-    ``layer_dims`` lists the sizes (input, hidden..., output); a seeded
-    generator makes initialization reproducible.
+    ``layer_dims`` lists the sizes (input, hidden..., output); hidden layers
+    are tanh and the output layer identity. A seeded generator makes
+    initialization reproducible.
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least an input and an output dimension")
@@ -139,7 +119,7 @@ def mlp_init(
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-        acts.append(final_activation if i == len(layer_dims) - 2 else hidden_activation)
+        acts.append("identity" if i == len(layer_dims) - 2 else "tanh")
     params = MlpParams(weights, biases, acts)
     params.validate()
     return params
@@ -218,7 +198,12 @@ def backward(
     d_weights: list[np.ndarray] = [None] * params.num_layers  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * params.num_layers  # type: ignore[list-item]
     for i in range(params.num_layers - 1, -1, -1):
-        g = g * _activation_deriv_from_output(params.activations[i], cache[i + 1])
+        act = params.activations[i]
+        if act == "tanh":
+            # tanh'(z) = 1 - tanh(z)^2, recoverable from the cached layer output
+            g = g * (1.0 - cache[i + 1] * cache[i + 1])
+        elif act != "identity":
+            raise ValueError(f"unknown activation {act!r}")
         d_weights[i] = g.T @ cache[i]
         d_biases[i] = g.sum(axis=0)
         g = g @ params.weights[i]

@@ -97,19 +97,18 @@ class SmoothNoiseGen:
     ``A`` is unit-lower-triangular with a fixed three-term stencil, so
     solving ``A y = z`` is the forward recurrence
     ``y_t = z_t + 2 y_{t-1} - y_{t-2}`` (a discrete double integration of
-    white noise), vectorized over all columns at once.
+    white noise), vectorized over all columns at once. At T = 1 the draw is
+    plain Gaussian noise; ``covariance`` needs T >= 2.
     """
 
     def __init__(self, horizon: int, state_dim: int):
-        if state_dim < 1:
-            raise ValueError("state_dim must be >= 1")
+        if horizon < 1 or state_dim < 1:
+            raise ValueError("horizon and state_dim must be >= 1")
         self.horizon = horizon
         self.state_dim = state_dim
-        self.factor = finite_difference_matrix(horizon)
-        self.precision = self.factor.T @ self.factor
 
     def covariance(self) -> np.ndarray:
-        inv = np.linalg.solve(self.factor, np.eye(self.horizon))
+        inv = np.linalg.solve(finite_difference_matrix(self.horizon), np.eye(self.horizon))
         return inv @ inv.T
 
     def sample(
@@ -163,12 +162,11 @@ def mppi_refine(
     """Refine a (T, d) candidate by perturb-and-reweight; shared by both planners.
 
     Each of ``config.num_iterations`` iterations perturbs the candidate with
-    ``num_samples`` noise draws (smooth noise for T >= 2, isotropic Gaussian
-    for T = 1), maps the perturbed candidates through ``project`` (which may
-    modify its (n, T, d) argument in place), scores them with ``score``
-    (lower is better), and replaces the candidate by the MPPI-weighted
-    average. Samples with non-finite scores get weight zero; if every score
-    is non-finite the kernel raises. The noise scale decays by
+    ``num_samples`` smooth noise draws, maps the perturbed candidates through
+    ``project`` (which may modify its (n, T, d) argument in place), scores
+    them with ``score`` (lower is better), and replaces the candidate by the
+    MPPI-weighted average. Samples with non-finite scores get weight zero; if
+    every score is non-finite the kernel raises. The noise scale decays by
     ``noise_decay`` per iteration.
 
     The noise of every iteration is drawn up front in one call, which gives
@@ -183,11 +181,7 @@ def mppi_refine(
     for k in range(config.num_iterations):
         scales[k] = scale
         scale *= config.noise_decay
-    if horizon >= 2:
-        noises = SmoothNoiseGen(horizon, dim).sample(scales, rng, n=config.num_samples)
-    else:
-        size = (config.num_iterations, config.num_samples, horizon, dim)
-        noises = rng.normal(0.0, scales[:, None, None, None], size=size)
+    noises = SmoothNoiseGen(horizon, dim).sample(scales, rng, n=config.num_samples)
     for noise in noises:
         samples = project(candidate[None] + noise)
         scores = score(samples)

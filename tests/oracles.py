@@ -29,7 +29,7 @@ def fd_param_grads(loss_fn, params: MlpParams, h: float = 1e-5) -> MlpGrads:
     """Central finite differences of ``loss_fn(params)`` over every entry."""
 
     def perturbed(kind, layer, index, delta):
-        p = params.copy()
+        p = params.astype(float)
         if kind == "w":
             p.weights[layer][index] += delta
         else:

@@ -196,7 +196,15 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"env_options": {"bogus": 1}}, "env_options"),
         ({"env_options": {"walls": [[0.0, 0.0, 0.1, 0.1]]}}, "env_options"),
         ({"env": "maze", "env_options": {"walls": [[0.0, 0.0]]}}, "env_options"),
+        # env_options keys are checked at load, so a key holding a newline still
+        # gets one line, and no factory parameter is reachable from a config
+        ({"env_options": {"bad\nkey": 1}}, "env_options.bad"),
+        ({"env": "maze", "env_options": {"layout": [[0.0, 0.0, 0.1, 0.1]]}},
+         "['env_options.layout']"),
         ({"seeds": [0, 0]}, "distinct"),
+        ({"seeds": [0, -1]}, "non-negative"),
+        # a heatmap renders seeds[0] only
+        ({"kind": "heatmap", "seeds": [0, 1]}, "one seed"),
         # configs that ask for no work
         ({"kind": "pretrain", "pretrain_steps": 0}, "pretrain_steps"),
         ({"kind": "obstacle-gen", "pretrain_steps": 0}, "pretrain_steps"),
@@ -237,6 +245,16 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
         # rejected while loading, before any output is written
         assert not out.exists()
+
+
+def test_seed_override_is_checked_at_load(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, "online.json", tiny_configs(tmp_path)["online"])
+    out = tmp_path / "out"
+    args = ["online", "--config", cfg_path, "--seed", "-1", "--out", str(out), "--quiet"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "non-negative" in err, err
+    assert not out.exists()
 
 
 def test_eval_requires_checkpoint(tmp_path, capsys):

@@ -230,15 +230,13 @@ def test_contrastive_empty_batch_raises():
         contrastive_loss_and_grads(model, np.empty((0, 4)), np.ones((2, 4)))
 
 
-def test_contrastive_unequal_batches_pad_cyclically():
+def test_contrastive_unequal_batches_raise():
     model = seeded_model(33)
     rng = np.random.default_rng(34)
-    pos = rng.normal(size=(2, 4))
-    neg = rng.normal(size=(5, 4))
-    loss, _ = contrastive_loss_and_grads(model, pos, neg)
-    padded = np.concatenate([pos, pos, pos])[:5]
-    expected, _ = contrastive_loss_and_grads(model, padded, neg)
-    assert np.isclose(loss, expected, rtol=1e-12)
+    with pytest.raises(ValueError, match="equal"):
+        contrastive_loss_and_grads(model, rng.normal(size=(2, 4)), rng.normal(size=(5, 4)))
+    with pytest.raises(ValueError, match="equal"):
+        contrastive_loss_and_grads(model, rng.normal(size=(5, 4)), rng.normal(size=(2, 4)))
 
 
 def test_contrastive_loss_decreases_over_small_steps():

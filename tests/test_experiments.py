@@ -143,9 +143,9 @@ def test_run_policy_episode_stationary_at_goal_scores_zero():
 
 def test_run_explore_random_budget_one_and_monotone():
     spec = particle_env()
-    series = run_explore("random", spec, 1, 0.1, seed=0)
+    series = run_explore("random", spec, 1, 0.1, seed=0, online_config=OnlineConfig())
     assert series == [(1, 1)]
-    series = run_explore("random", spec, 200, 0.1, seed=1)
+    series = run_explore("random", spec, 200, 0.1, seed=1, online_config=OnlineConfig())
     occ = [c for _, c in series]
     assert all(b >= a for a, b in zip(occ, occ[1:]))
     assert series[-1][0] == 200
@@ -164,7 +164,7 @@ def test_run_explore_ebm_prior_budget_one():
 
 def test_run_explore_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        run_explore("greedy", particle_env(), 10, 0.1, seed=0)
+        run_explore("greedy", particle_env(), 10, 0.1, seed=0, online_config=OnlineConfig())
 
 
 def test_run_diversity_identical_seeds_zero_spread():
@@ -248,6 +248,8 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"kind": "mystery"})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"kind": "online", "seeds": []})
+    with pytest.raises(ValueError, match="non-negative"):
+        ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0], "seeds": [0, -1]})
     with pytest.raises(ValueError, match="kind"):
         ExperimentConfig.from_dict({})
     with pytest.raises(ValueError, match=r"\['online.adam.bogus'\]"):

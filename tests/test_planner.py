@@ -69,10 +69,20 @@ def test_smooth_noise_zero_scale_and_shape():
 
 
 def test_smooth_noise_factorization_reproduces_precision():
-    gen = SmoothNoiseGen(8, 1)
-    assert np.allclose(gen.factor.T @ gen.factor, gen.precision, atol=1e-12)
-    identity = gen.covariance() @ gen.precision
+    factor = finite_difference_matrix(8)
+    identity = SmoothNoiseGen(8, 1).covariance() @ (factor.T @ factor)
     assert np.allclose(identity, np.eye(8), atol=1e-8)
+
+
+def test_smooth_noise_horizon_one_is_plain_gaussian_noise():
+    scales = 0.05 * 0.92 ** np.arange(5)
+    for dim, n in ((1, 7), (2, 24), (3, 1)):
+        rng = np.random.default_rng(dim)
+        ref_rng = np.random.default_rng(dim)
+        out = SmoothNoiseGen(1, dim).sample(scales, rng, n)
+        expected = ref_rng.normal(0.0, scales[:, None, None, None], size=(len(scales), n, 1, dim))
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_smooth_noise_empirical_covariance():
