@@ -53,7 +53,7 @@ def make_action_ff(
     state_dim: int,
     action_dim: int,
     rng: np.random.Generator,
-    hidden_sizes: tuple[int, ...] = (128, 128, 128),
+    hidden_sizes: tuple[int, ...],
 ) -> ActionFFModel:
     dims = [state_dim + action_dim, *hidden_sizes, state_dim]
     return ActionFFModel(mlp_init(dims, rng), state_dim, action_dim)

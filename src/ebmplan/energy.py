@@ -53,7 +53,7 @@ class EnergyModel:
 def make_energy_model(
     state_dim: int,
     rng: np.random.Generator,
-    hidden_sizes: tuple[int, ...] = (128, 128, 128),
+    hidden_sizes: tuple[int, ...],
 ) -> EnergyModel:
     dims = [2 * state_dim, *hidden_sizes, 1]
     return EnergyModel(mlp_init(dims, rng), state_dim)
@@ -202,19 +202,19 @@ def sample_negative_pairs(
     model: EnergyModel,
     seed_pairs: np.ndarray,
     rng: np.random.Generator,
+    scale: float,
     num_samples: int = 16,
     num_iters: int = 5,
-    scale: float = 0.05,
     temperature: float = 1.0,
 ) -> np.ndarray:
     """Draw low-energy pairs from the model by iterated perturb-and-reweight.
 
     Each seed row is refined independently: perturb it with isotropic
-    Gaussian noise, weight the perturbations by exponentiated negative
-    energy, and move to the weighted average. Used to generate negatives
-    when training on a static dataset, where no planned trajectories exist.
-    Candidates are scored by a float32 copy of the net; the caller's model is
-    left untouched and the refinement itself runs in float64.
+    Gaussian noise of standard deviation ``scale``, weight the perturbations
+    by exponentiated negative energy, and move to the weighted average. Used
+    to generate negatives when training on a static dataset, where no planned
+    trajectories exist. Candidates are scored by a float32 copy of the net;
+    the caller's model is left untouched and the refinement runs in float64.
     """
     seeds = np.atleast_2d(np.asarray(seed_pairs, dtype=float))
     b, width = seeds.shape

@@ -36,7 +36,7 @@ from .energy import (
     sample_negative_pairs,
     transition_energies,
 )
-from .envs import ENV_FACTORIES, EnvSpec, MazeLayout, make_env, maze_env, occupancy_cells
+from .envs import ENV_FACTORIES, MAP_HIGH, MAP_LOW, EnvSpec, MazeLayout, make_env, occupancy_cells
 from .nn import AdamHyper, adam_step, check_update, init_adam_state, load_mlp, param_norm, save_mlp
 from .online import OnlineConfig, online_train
 from .planner import PlannerConfig, plan, plan_target
@@ -94,7 +94,7 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
 
 
 def gen_random_dataset(
-    spec: EnvSpec, n: int, rng: np.random.Generator, reset_every: int = 100
+    spec: EnvSpec, n: int, rng: np.random.Generator, reset_every: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roll a uniform-random policy, resetting periodically, into (s, a, s')."""
     if n < 1:
@@ -127,21 +127,21 @@ def pretrain(
     mode: str,
     steps: int,
     rng: np.random.Generator,
-    hidden_sizes: tuple[int, ...] = (64, 64),
-    adam: AdamHyper = AdamHyper(),
-    batch_size: int = 64,
-    repeat_factor: int = 100,
-    negative_scale: float = 0.1,
+    hidden_sizes: tuple[int, ...],
+    adam: AdamHyper,
+    batch_size: int,
+    repeat_factor: int,
+    negative_scale: float,
 ) -> PretrainResult:
     """Train a fresh model of ``model_kind`` on a static dataset, no replay buffer.
 
-    ``shuffled`` draws each batch uniformly; ``sequential-repeated`` walks the
-    dataset in order, one datapoint held for ``repeat_factor`` consecutive
-    updates. The action-FF model fits next states by mean squared error. The
-    energy model takes dataset pairs as positives and draws negatives fresh
-    from the current model around them by perturb-and-reweight, at
-    ``negative_scale``; the action-FF model ignores that argument. A diverged
-    update (see ``check_update``) raises.
+    ``shuffled`` draws batches of ``batch_size`` uniformly; ``sequential-repeated``
+    walks the dataset in order, one datapoint held for ``repeat_factor``
+    consecutive updates. The action-FF model fits next states by mean squared
+    error. The energy model takes dataset pairs as positives and draws
+    negatives around them from the current model by perturb-and-reweight, at
+    ``negative_scale``, which the action-FF model ignores. No setting has a
+    default. A diverged update (see ``check_update``) raises.
     """
     states, actions, next_states = dataset
     if states.shape[0] == 0:
@@ -241,37 +241,25 @@ def evaluate_model(
 
 
 def run_explore(
-    policy_kind: str,
-    spec: EnvSpec,
-    budget: int,
-    cell_size: float,
-    seed: int,
-    online_config: OnlineConfig,
+    policy_kind: str, spec: EnvSpec, seed: int, config: OnlineConfig
 ) -> list[tuple[int, int]]:
-    """Occupancy-versus-step series for one seed.
+    """Occupancy-versus-step series for one seed, over ``config.env_step_budget`` steps.
 
     ``random`` rolls the uniform policy, reset every ``episode_length`` steps;
-    ``ebm-prior`` trains an energy model with prior-only planning and reads its
-    metrics. Occupancy counts distinct cells entered by executed transitions.
+    ``ebm-prior`` trains an energy model through ``online_train`` with no goal,
+    planning with ``config.planner`` as given, and reads its metrics. Occupancy
+    counts the cells of side ``occupancy_cell`` entered by executed transitions.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(seed)
     if policy_kind == "random":
-        _, _, reached = gen_random_dataset(spec, budget, rng, online_config.episode_length)
+        _, _, reached = gen_random_dataset(spec, config.env_step_budget, rng, config.episode_length)
         visited: set = set()
         series = []
         for step, state in enumerate(reached, start=1):
-            visited |= occupancy_cells(state[None, :], cell_size)
+            visited |= occupancy_cells(state[None, :], config.occupancy_cell)
             series.append((step, len(visited)))
         return series
     if policy_kind == "ebm-prior":
-        config = replace(
-            online_config,
-            planner=replace(online_config.planner, score_mode="prior-only"),
-            env_step_budget=budget,
-            occupancy_cell=cell_size,
-        )
         result = online_train(spec, None, config, rng)
         return [(row.step, row.occupancy) for row in result.metrics]
     raise ValueError(f"unknown exploration policy {policy_kind!r}")
@@ -311,10 +299,9 @@ def run_diversity(
 def energy_heatmap(
     model: EnergyModel,
     resolution: int,
-    bounds: tuple[float, float] = (-1.0, 1.0),
     displacement: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """Transition energies at zero (or fixed) displacement over a 2-D grid.
+    """Transition energies at zero (or fixed) displacement over a grid of the 2-D map.
 
     Row index follows y and column index x, both increasing with coordinate.
     """
@@ -322,8 +309,7 @@ def energy_heatmap(
         raise ValueError("heatmaps are only defined for 2-D state spaces")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    lo, hi = bounds
-    centers = lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
+    centers = MAP_LOW + (np.arange(resolution) + 0.5) * (MAP_HIGH - MAP_LOW) / resolution
     xs, ys = np.meshgrid(centers, centers)
     points = np.stack([xs.ravel(), ys.ravel()], axis=1)
     pairs = pack_pairs(points, points + np.asarray(displacement, dtype=float))
@@ -423,8 +409,6 @@ class ExperimentConfig:
     model_checkpoint: str | None = None
     # explore
     explore_policy: str = "ebm-prior"
-    budget: int = 2000
-    cell_size: float = 0.1
     # diversity
     horizons: list[int] = field(default_factory=lambda: [10, 20, 40])
     trials: int = 16
@@ -447,28 +431,28 @@ class ExperimentConfig:
             raise ValueError(f"unknown environment kind {self.env!r}")
         if self.model not in ("ebm", "action-ff"):
             raise ValueError(f"unknown model kind {self.model!r}")
-        if self.kind in ("diversity", "heatmap") and self.model != "ebm":
+        if self.kind in ("explore", "diversity", "heatmap") and self.model != "ebm":
             raise ValueError(f"experiment {self.kind!r} needs model 'ebm', an energy network")
         for name in ("pretrain_steps", "dataset_reset_every", "repeat_factor", "episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if min(self.hidden_sizes, default=1) < 1:
+            raise ValueError("hidden_sizes must all be >= 1")
         online = self.online_config()
-        if min((*self.hidden_sizes, *online.hidden_sizes), default=1) < 1:
-            raise ValueError("hidden_sizes and online.hidden_sizes must all be >= 1")
-        if self.kind == "online" and online.env_step_budget < 1:
+        if self.kind in ("online", "explore") and online.env_step_budget < 1:
             raise ValueError("online.env_step_budget must be >= 1")
-        if self.kind == "diversity" and not self.horizons:
-            raise ValueError("horizons must be non-empty")
+        if self.kind == "diversity" and min(self.horizons, default=0) < 2:
+            raise ValueError("horizons must be a non-empty list of integers >= 2")
         if self.kind == "eval" and self.model_checkpoint is None:
             raise ValueError("experiment 'eval' needs model_checkpoint")
-        if self.kind == "explore" and self.explore_policy not in EXPLORE_POLICIES:
-            raise ValueError(f"unknown exploration policy {self.explore_policy!r}")
-        for key, top in (("env_step_budget", "budget"), ("occupancy_cell", "cell_size")):
-            if self.kind == "explore" and key in self.online:
-                raise ValueError(f"online.{key}: an explore run takes it from {top}")
         spec = self.make_env()
-        if self.kind == "obstacle-gen" and spec.kind != "particle":
-            raise ValueError("obstacle generalization runs on the particle environment")
+        if self.kind == "obstacle-gen":
+            self.obstacle_env()
+        if self.kind == "explore":
+            if self.explore_policy not in EXPLORE_POLICIES:
+                raise ValueError(f"unknown exploration policy {self.explore_policy!r}")
+            if self.explore_policy == "ebm-prior" and self.planner.score_mode != "prior-only":
+                raise ValueError("explore_policy 'ebm-prior' needs planner.score_mode 'prior-only'")
         if self.kind in GOAL_KINDS:
             if self.goal is None:
                 raise ValueError(f"experiment {self.kind!r} needs a goal")
@@ -488,17 +472,26 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"env_options: {exc}") from None
 
+    def obstacle_env(self) -> EnvSpec:
+        """obstacle-gen's test env: the particle map with ``obstacle`` as a maze wall."""
+        if self.env != "particle":
+            raise ValueError("obstacle generalization runs on the particle environment")
+        start = tuple(self.make_env().start_state)
+        try:
+            return make_env("maze", layout=MazeLayout((self.obstacle,)), start=start)
+        except ValueError as exc:
+            raise ValueError(f"obstacle: {exc}") from None
+
     def online_config(self) -> OnlineConfig:
-        """The ``online`` section over defaults taken from the top level."""
-        if "planner" in self.online:
-            raise ValueError("online.planner: the planner is set by the top-level section")
-        defaults = {
-            "planner": self.planner,
-            "hidden_sizes": self.hidden_sizes,
-            "adam": AdamHyper(learning_rate=self.learning_rate),
-            "episode_length": self.episode_length,
-        }
-        return _build(OnlineConfig, {**defaults, **self.online}, "online.")
+        """The ``online`` section's loop settings, plus the planner, ``hidden_sizes`` and
+        ``learning_rate`` of the top level, the one place that sets them."""
+        top = {"planner": self.planner, "hidden_sizes": self.hidden_sizes,
+               "adam": AdamHyper(learning_rate=self.learning_rate)}
+        for key in top:
+            if key in self.online:
+                raise ValueError(f"online.{key}: set by the top level of the config")
+        section = {"episode_length": self.episode_length, **self.online, **top}
+        return _build(OnlineConfig, section, "online.")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -611,8 +604,7 @@ def _eval_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 def _explore_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    series = run_explore(config.explore_policy, spec, config.budget, config.cell_size, seed,
-                         config.online_config())
+    series = run_explore(config.explore_policy, spec, seed, config.online_config())
     tables = {"explore": [(seed, step, occ) for step, occ in series]}
     line = f"explore[{config.explore_policy}] seed {seed}: final occupancy {series[-1][1]}"
     return tables, None, line
@@ -625,8 +617,7 @@ def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     is evaluated on; the label fills the third CSV column.
     """
     if config.kind == "obstacle-gen":
-        blocked = maze_env(MazeLayout((config.obstacle,)), start=tuple(spec.start_state))
-        variants = [("shuffled", [("open", spec), ("obstacle", blocked)])]
+        variants = [("shuffled", [("open", spec), ("obstacle", config.obstacle_env())])]
     else:
         variants = [(mode, [(mode, spec)]) for mode in PRETRAIN_MODES]
     goal = np.asarray(config.goal, dtype=float)

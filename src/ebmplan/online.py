@@ -92,7 +92,7 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Knobs of the online training loop (planner settings ride along)."""
+    """Online loop settings; a config's top level sets the planner, net and Adam."""
 
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     deviation_threshold: float = 0.1
@@ -113,6 +113,10 @@ class OnlineConfig:
             raise ValueError("env_step_budget must be non-negative")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
+        if not self.occupancy_cell > 0:
+            raise ValueError("occupancy_cell must be positive")
+        if self.goal_tolerance < 0:
+            raise ValueError("goal_tolerance must be non-negative")
         if self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:

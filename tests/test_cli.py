@@ -68,8 +68,7 @@ def tiny_configs(tmp_path):
             "env": "maze",
             "explore_policy": "random",
             "seeds": [0, 1],
-            "budget": 30,
-            "cell_size": 0.1,
+            "online": {"env_step_budget": 30, "occupancy_cell": 0.1},
         },
         "obstacle-gen": {
             "kind": "obstacle-gen",
@@ -189,6 +188,8 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"hidden_sizes": "ab"}, "hidden_sizes"),
         ({"planner": 3}, "planner"),
         ({"online": {"adam": "fast"}}, "online.adam"),
+        # the network, optimizer and planner are set at the top level only
+        ({"online": {"adam": {"learning_rate": 0.001}}}, "online.adam"),
         ({"env_options": 3}, "env_options"),
         ({"seeds": "0"}, "seeds"),
         ({"goal": "near"}, "goal"),
@@ -211,9 +212,14 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"kind": "ablation-correlated", "pretrain_steps": 0}, "pretrain_steps"),
         ({"online": {"env_step_budget": 0}}, "env_step_budget"),
         ({"kind": "diversity", "horizons": []}, "horizons"),
-        # explore sets these from budget and cell_size
-        ({"kind": "explore", "online": {"env_step_budget": 3}, "budget": 12}, "budget"),
-        ({"kind": "explore", "online": {"occupancy_cell": 0.2}}, "cell_size"),
+        # explore takes its run length and cell size from online, like an online run
+        ({"kind": "explore", "budget": 12}, "budget"),
+        ({"kind": "explore", "cell_size": 0.1}, "cell_size"),
+        ({"kind": "explore", "explore_policy": "random", "online": {"env_step_budget": 0}},
+         "env_step_budget"),
+        # no setting is overridden: ebm-prior explores goal-free only when told so
+        ({"kind": "explore", "explore_policy": "ebm-prior",
+          "planner": {"score_mode": "gaussian-goal"}}, "prior-only"),
         # values a runner would crash on
         ({"hidden_sizes": [0, 8]}, "hidden_sizes"),
         ({"kind": "pretrain", "hidden_sizes": [0, 8]}, "hidden_sizes"),
@@ -235,6 +241,11 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         # kinds that read an energy network, given an action-FF checkpoint
         ({"kind": "heatmap", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
         ({"kind": "diversity", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
+        ({"kind": "explore", "model": "action-ff"}, "'ebm'"),
+        # obstacle-gen's blocked maze is built at load
+        ({"kind": "obstacle-gen", "obstacle": [0.3, 0.3, 0.2, 0.4]}, "obstacle:"),
+        ({"kind": "obstacle-gen", "obstacle": [0.9, 0.0, 1.1, 0.1]}, "obstacle:"),
+        ({"kind": "obstacle-gen", "obstacle": [-0.6, -0.6, -0.4, -0.4]}, "obstacle:"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}

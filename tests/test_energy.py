@@ -308,8 +308,8 @@ def test_sample_negative_pairs_moves_toward_lower_energy():
 def test_sample_negative_pairs_deterministic():
     model = seeded_model(82)
     seeds = np.random.default_rng(83).normal(size=(4, 4))
-    a = sample_negative_pairs(model, seeds, np.random.default_rng(9))
-    b = sample_negative_pairs(model, seeds, np.random.default_rng(9))
+    a = sample_negative_pairs(model, seeds, np.random.default_rng(9), scale=0.05)
+    b = sample_negative_pairs(model, seeds, np.random.default_rng(9), scale=0.05)
     assert np.array_equal(a, b)
 
 
@@ -317,7 +317,7 @@ def test_sample_negative_pairs_leaves_model_unchanged():
     model = seeded_model(84)
     arrays = model.net.weights + model.net.biases
     snapshot = [a.copy() for a in arrays]
-    sample_negative_pairs(model, np.zeros((3, 4)), np.random.default_rng(85))
+    sample_negative_pairs(model, np.zeros((3, 4)), np.random.default_rng(85), scale=0.05)
     assert all(a is b for a, b in zip(model.net.weights + model.net.biases, arrays))
     for a, before in zip(arrays, snapshot):
         assert a.dtype == np.float64

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ebmplan import experiments
 from ebmplan.baselines import make_action_ff
 from ebmplan.energy import EnergyModel, make_energy_model, transition_energies
 from ebmplan.envs import MazeLayout, make_env, maze_env, occupancy_cells, particle_env
@@ -17,14 +18,18 @@ from ebmplan.experiments import (
     run_policy_episode,
     write_csv,
 )
-from ebmplan.nn import MlpParams
+from ebmplan.nn import AdamHyper, MlpParams
 from ebmplan.online import OnlineConfig
 from ebmplan.planner import PlannerConfig
+
+# the values pretrain's settings defaulted to before every one became required
+PRETRAIN_SETTINGS = {"hidden_sizes": (64, 64), "adam": AdamHyper(), "batch_size": 64,
+                     "repeat_factor": 100, "negative_scale": 0.1}
 
 
 def test_gen_random_dataset_single_transition():
     spec = particle_env()
-    s, a, s2 = gen_random_dataset(spec, 1, np.random.default_rng(0))
+    s, a, s2 = gen_random_dataset(spec, 1, np.random.default_rng(0), reset_every=100)
     assert s.shape == (1, 2) and a.shape == (1, 2) and s2.shape == (1, 2)
     assert np.array_equal(s[0], spec.start_state)
     assert np.array_equal(s2[0], spec.step(s[0], a[0]))
@@ -40,15 +45,15 @@ def test_gen_random_dataset_replays_exactly():
 
 def test_gen_random_dataset_coverage():
     spec = particle_env()
-    s, _, _ = gen_random_dataset(spec, 10_000, np.random.default_rng(2))
+    s, _, _ = gen_random_dataset(spec, 10_000, np.random.default_rng(2), reset_every=100)
     assert len(occupancy_cells(s, 0.1)) > 50
 
 
 def test_pretrain_zero_steps_returns_seeded_initialization():
     spec = particle_env()
-    dataset = gen_random_dataset(spec, 50, np.random.default_rng(3))
+    dataset = gen_random_dataset(spec, 50, np.random.default_rng(3), reset_every=100)
     result = pretrain("ebm", dataset, "shuffled", 0, np.random.default_rng(7),
-                      hidden_sizes=(8, 8))
+                      **{**PRETRAIN_SETTINGS, "hidden_sizes": (8, 8)})
     expected = make_energy_model(2, np.random.default_rng(7), (8, 8))
     for a, b in zip(result.model.net.weights, expected.net.weights):
         assert np.array_equal(a, b)
@@ -57,25 +62,26 @@ def test_pretrain_zero_steps_returns_seeded_initialization():
 
 def test_pretrain_rejects_bad_mode_and_empty_dataset():
     spec = particle_env()
-    dataset = gen_random_dataset(spec, 10, np.random.default_rng(0))
+    dataset = gen_random_dataset(spec, 10, np.random.default_rng(0), reset_every=100)
     with pytest.raises(ValueError):
-        pretrain("ebm", dataset, "stratified", 5, np.random.default_rng(0))
+        pretrain("ebm", dataset, "stratified", 5, np.random.default_rng(0), **PRETRAIN_SETTINGS)
     empty = (np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2)))
     with pytest.raises(ValueError):
-        pretrain("action-ff", empty, "shuffled", 5, np.random.default_rng(0))
+        pretrain("action-ff", empty, "shuffled", 5, np.random.default_rng(0), **PRETRAIN_SETTINGS)
     with pytest.raises(ValueError):
-        pretrain("transformer", dataset, "shuffled", 5, np.random.default_rng(0))
+        pretrain("transformer", dataset, "shuffled", 5, np.random.default_rng(0),
+                 **PRETRAIN_SETTINGS)
 
 
 def test_pretrain_action_ff_reaches_low_mse_on_particle():
     from ebmplan.baselines import ff_mse_loss_and_grads
-    from ebmplan.nn import AdamHyper
 
     spec = particle_env()
-    dataset = gen_random_dataset(spec, 2000, np.random.default_rng(4))
+    dataset = gen_random_dataset(spec, 2000, np.random.default_rng(4), reset_every=100)
     result = pretrain(
         "action-ff", dataset, "shuffled", 1500, np.random.default_rng(5),
         hidden_sizes=(32, 32), adam=AdamHyper(learning_rate=3e-3), batch_size=64,
+        repeat_factor=100, negative_scale=0.1,
     )
     loss, _ = ff_mse_loss_and_grads(result.model, *dataset)
     assert loss < 1e-3
@@ -86,17 +92,17 @@ def test_pretrain_sequential_mode_walks_in_order():
     # update step; a loop over kinds, not parameters, so the test keeps its id
     from ebmplan.baselines import ff_train_step
     from ebmplan.energy import contrastive_loss_and_grads, pack_pairs, sample_negative_pairs
-    from ebmplan.nn import AdamHyper, adam_step, init_adam_state
+    from ebmplan.nn import adam_step, init_adam_state
 
     spec = particle_env()
     states, actions, next_states = dataset = gen_random_dataset(
-        spec, 30, np.random.default_rng(6)
+        spec, 30, np.random.default_rng(6), reset_every=100
     )
     rows = [0] * 5 + [1] * 5
     pairs = pack_pairs(states, next_states)
     for kind in ("ebm", "action-ff"):
-        result = pretrain(kind, dataset, "sequential-repeated", 10,
-                          np.random.default_rng(8), hidden_sizes=(4,), repeat_factor=5)
+        result = pretrain(kind, dataset, "sequential-repeated", 10, np.random.default_rng(8),
+                          **{**PRETRAIN_SETTINGS, "hidden_sizes": (4,), "repeat_factor": 5})
         rng = np.random.default_rng(8)
         if kind == "ebm":
             model = make_energy_model(2, rng, (4,))
@@ -143,9 +149,11 @@ def test_run_policy_episode_stationary_at_goal_scores_zero():
 
 def test_run_explore_random_budget_one_and_monotone():
     spec = particle_env()
-    series = run_explore("random", spec, 1, 0.1, seed=0, online_config=OnlineConfig())
+    config = OnlineConfig(env_step_budget=1, occupancy_cell=0.1)
+    series = run_explore("random", spec, seed=0, config=config)
     assert series == [(1, 1)]
-    series = run_explore("random", spec, 200, 0.1, seed=1, online_config=OnlineConfig())
+    config = OnlineConfig(env_step_budget=200, occupancy_cell=0.1)
+    series = run_explore("random", spec, seed=1, config=config)
     occ = [c for _, c in series]
     assert all(b >= a for a, b in zip(occ, occ[1:]))
     assert series[-1][0] == 200
@@ -158,13 +166,13 @@ def test_run_explore_ebm_prior_budget_one():
                               noise_scale=0.01, score_mode="prior-only"),
         hidden_sizes=(8, 8), env_step_budget=1,
     )
-    series = run_explore("ebm-prior", spec, 1, 0.1, seed=0, online_config=config)
+    series = run_explore("ebm-prior", spec, seed=0, config=config)
     assert series[-1] == (1, 1)
 
 
 def test_run_explore_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        run_explore("greedy", particle_env(), 10, 0.1, seed=0, online_config=OnlineConfig())
+        run_explore("greedy", particle_env(), seed=0, config=OnlineConfig(env_step_budget=10))
 
 
 def test_run_diversity_identical_seeds_zero_spread():
@@ -252,8 +260,36 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0], "seeds": [0, -1]})
     with pytest.raises(ValueError, match="kind"):
         ExperimentConfig.from_dict({})
-    with pytest.raises(ValueError, match=r"\['online.adam.bogus'\]"):
+    with pytest.raises(ValueError, match="online.adam: set by the top level"):
         ExperimentConfig.from_dict({"kind": "explore", "online": {"adam": {"bogus": 1}}})
+    # limits checked at load, not after a run has done work
+    with pytest.raises(ValueError, match="horizons"):
+        ExperimentConfig.from_dict({"kind": "diversity", "goal": [0.2, 0.0], "horizons": [6, 1]})
+    with pytest.raises(ValueError, match="occupancy_cell must be positive"):
+        ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0],
+                                    "online": {"occupancy_cell": 0.0}})
+    with pytest.raises(ValueError, match="goal_tolerance must be non-negative"):
+        ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0],
+                                    "online": {"goal_tolerance": -0.01}})
+    with pytest.raises(ValueError, match="obstacle: start state lies inside a wall"):
+        ExperimentConfig.from_dict({"kind": "obstacle-gen", "goal": [0.4, 0.0],
+                                    "obstacle": [-0.6, -0.6, -0.4, -0.4]})
+
+
+def test_obstacle_env_is_built_through_make_env(monkeypatch):
+    # a wrapper of make_env, as a tracer installs, sees the blocked env as well
+    built = []
+
+    def spy(kind, **options):
+        built.append(kind)
+        return make_env(kind, **options)
+
+    monkeypatch.setattr(experiments, "make_env", spy)
+    config = ExperimentConfig.from_dict({"kind": "obstacle-gen", "goal": [0.4, 0.0]})
+    assert "maze" in built
+    blocked = config.obstacle_env()
+    assert blocked.maze_layout.walls == (config.obstacle,)
+    assert np.array_equal(blocked.start_state, config.make_env().start_state)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
