@@ -52,7 +52,6 @@ from .nn import (
     adam_step,
     load_mlp,
     mlp_forward,
-    mlp_gradients,
     mlp_init,
     save_mlp,
 )

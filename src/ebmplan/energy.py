@@ -155,17 +155,14 @@ def reward_scores(
 
 
 def contrastive_loss_and_grads(
-    model: EnergyModel,
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    l2_coeff: float = 1.0,
+    model: EnergyModel, positives: np.ndarray, negatives: np.ndarray
 ) -> tuple[float, MlpGrads]:
-    """Mean of ``l2*(E+^2 + E-^2) + E+ - E-`` over the batch, with exact grads.
+    """Mean of ``E+^2 + E-^2 + E+ - E-`` over the batch, with exact grads.
 
     Positive pairs are observed transitions whose energy is pushed down;
     negative pairs come from the model's own plans and are pushed up. The
-    squared terms keep energies from drifting. The two batches must have
-    the same number of rows.
+    squared terms, with a fixed coefficient of 1, keep energies from
+    drifting. The two batches must have the same number of rows.
     """
     positives = np.atleast_2d(np.asarray(positives, dtype=float))
     negatives = np.atleast_2d(np.asarray(negatives, dtype=float))
@@ -180,10 +177,10 @@ def contrastive_loss_and_grads(
     e_neg, cache_neg = forward_cached(model.net, negatives)
     e_pos = e_pos[:, 0]
     e_neg = e_neg[:, 0]
-    loss = float(np.mean(l2_coeff * (e_pos**2 + e_neg**2) + e_pos - e_neg))
+    loss = float(np.mean(e_pos**2 + e_neg**2 + e_pos - e_neg))
 
-    cot_pos = ((2.0 * l2_coeff * e_pos + 1.0) / n)[:, None]
-    cot_neg = ((2.0 * l2_coeff * e_neg - 1.0) / n)[:, None]
+    cot_pos = ((2.0 * e_pos + 1.0) / n)[:, None]
+    cot_neg = ((2.0 * e_neg - 1.0) / n)[:, None]
     grads_pos, _ = backward(model.net, cache_pos, cot_pos)
     grads_neg, _ = backward(model.net, cache_neg, cot_neg)
     return loss, add_grads(grads_pos, grads_neg)

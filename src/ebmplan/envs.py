@@ -52,10 +52,10 @@ def particle_step(state: np.ndarray, action: np.ndarray) -> np.ndarray:
     return np.clip(state + move, MAP_LOW, MAP_HIGH)
 
 
-def particle_reward(state: np.ndarray, goal: np.ndarray) -> float:
-    state = np.asarray(state, dtype=float)
+def particle_reward(states: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Negative distance of each (..., 2) position to the goal's, shape (...)."""
     goal = np.asarray(goal, dtype=float)
-    return float(-np.linalg.norm(state[:2] - goal[:2]))
+    return -np.linalg.norm(np.asarray(states, dtype=float)[..., :2] - goal[:2], axis=-1)
 
 
 def particle_inverse_dynamics(state: np.ndarray, desired: np.ndarray) -> np.ndarray:
@@ -156,12 +156,11 @@ def reacher_step(state: np.ndarray, action: np.ndarray) -> np.ndarray:
     return np.concatenate([theta_new, omega_new])
 
 
-def reacher_reward(state: np.ndarray, goal: np.ndarray) -> float:
-    """Negative wrap-aware distance between joint angles and target angles."""
-    state = np.asarray(state, dtype=float)
+def reacher_reward(states: np.ndarray, goal: np.ndarray) -> np.ndarray:
+    """Negative wrap-aware distance of each (..., 4) state's joint angles to the goal's."""
     goal = np.asarray(goal, dtype=float)
-    diff = wrap_angle(state[:2] - goal[:2])
-    return float(-np.linalg.norm(diff))
+    diff = wrap_angle(np.asarray(states, dtype=float)[..., :2] - goal[:2])
+    return -np.linalg.norm(diff, axis=-1)
 
 
 def reacher_inverse_dynamics(state: np.ndarray, desired: np.ndarray) -> np.ndarray:
@@ -178,7 +177,11 @@ def reacher_inverse_dynamics(state: np.ndarray, desired: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Bundle of the functions and constants that define one environment."""
+    """Bundle of the functions and constants that define one environment.
+
+    ``reward(states, goal)`` maps (..., state_dim) states to (...) rewards; the
+    planner's ``reward`` mode and every episode score call it.
+    """
 
     kind: str
     state_dim: int
@@ -186,7 +189,7 @@ class EnvSpec:
     action_bound: float
     start_state: np.ndarray
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    reward: Callable[[np.ndarray, np.ndarray], float]
+    reward: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inverse_dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     clip_action: Callable[[np.ndarray], np.ndarray]
     maze_layout: MazeLayout | None = None
@@ -257,18 +260,6 @@ def make_env(kind: str, **kwargs) -> EnvSpec:
     if kind not in ENV_FACTORIES:
         raise ValueError(f"unknown environment kind {kind!r}")
     return ENV_FACTORIES[kind](**kwargs)
-
-
-def vectorized_reward(spec: EnvSpec, goal: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Reward of a (..., state_dim) array of states, matching ``spec.reward``."""
-    goal = np.asarray(goal, dtype=float)
-    if spec.kind == "reacher":
-        return lambda states: -np.linalg.norm(
-            wrap_angle(np.asarray(states, dtype=float)[..., :2] - goal[:2]), axis=-1
-        )
-    return lambda states: -np.linalg.norm(
-        np.asarray(states, dtype=float)[..., :2] - goal[:2], axis=-1
-    )
 
 
 # ---------------------------------------------------------------------------

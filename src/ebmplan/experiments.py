@@ -198,12 +198,12 @@ def run_policy_episode(
 
     The score sums the reward of every state the agent occupies when acting,
     starting with the start state; the state reached by the final step is not
-    scored.
+    scored. Each state is scored by one ``spec.reward`` call on that state.
     """
     state = spec.start_state.copy()
     total = 0.0
     for _ in range(episode_length):
-        total += spec.reward(state, goal)
+        total += float(spec.reward(state, goal))
         state = spec.step(state, policy(state))
     return total
 
@@ -484,14 +484,14 @@ class ExperimentConfig:
 
     def online_config(self) -> OnlineConfig:
         """The ``online`` section's loop settings, plus the planner, ``hidden_sizes`` and
-        ``learning_rate`` of the top level, the one place that sets them."""
+        ``learning_rate`` of the top level, the one place that sets them. The
+        top-level ``episode_length`` stays out: the section sets its own."""
         top = {"planner": self.planner, "hidden_sizes": self.hidden_sizes,
                "adam": AdamHyper(learning_rate=self.learning_rate)}
         for key in top:
             if key in self.online:
                 raise ValueError(f"online.{key}: set by the top level of the config")
-        section = {"episode_length": self.episode_length, **self.online, **top}
-        return _build(OnlineConfig, section, "online.")
+        return _build(OnlineConfig, {**self.online, **top}, "online.")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -210,21 +210,6 @@ def backward(
     return MlpGrads(d_weights, d_biases), g
 
 
-def mlp_gradients(
-    params: MlpParams, x: np.ndarray, output_cotangent: np.ndarray
-) -> tuple[MlpGrads, np.ndarray]:
-    """Exact gradients of ``<output, output_cotangent>`` for one input vector."""
-    x = _check_input(params, x)
-    if x.ndim != 1:
-        raise ValueError("mlp_gradients expects a single input vector")
-    cot = np.asarray(output_cotangent, dtype=float)
-    if cot.shape != (params.out_dim,):
-        raise ValueError(f"cotangent shape {cot.shape} != ({params.out_dim},)")
-    _, cache = forward_cached(params, x[None, :])
-    grads, x_cot = backward(params, cache, cot[None, :])
-    return grads, x_cot[0]
-
-
 def adam_step(
     params: MlpParams, grads: MlpGrads, state: AdamState, hyper: AdamHyper
 ) -> tuple[MlpParams, AdamState]:

@@ -103,7 +103,6 @@ class OnlineConfig:
     goal_tolerance: float = 0.05
     hidden_sizes: tuple[int, ...] = (64, 64)
     adam: AdamHyper = field(default_factory=AdamHyper)
-    l2_coeff: float = 1.0
     occupancy_cell: float = 0.1
 
     def __post_init__(self) -> None:
@@ -171,7 +170,7 @@ def contrastive_update(
     fresh_neg = collate(prefix)
     pos_batch = b_pos.with_replay(fresh_pos, config.batch_size, rng)
     neg_batch = b_neg.with_replay(fresh_neg, config.batch_size, rng)
-    loss, grads = contrastive_loss_and_grads(model, pos_batch, neg_batch, config.l2_coeff)
+    loss, grads = contrastive_loss_and_grads(model, pos_batch, neg_batch)
     net, new_adam = adam_step(model.net, grads, adam_state, config.adam)
     b_pos.add(fresh_pos)
     b_neg.add(fresh_neg)
@@ -208,13 +207,13 @@ def run_online(
 
     ``propose(model, state, rng)`` returns a planned state trajectory starting
     at ``state``; it is truncated at the episode or budget boundary, executed
-    until reality deviates from it, and cut at the first goal hit. Then
-    ``learn(model, adam_state, real, prefix, rng)`` returns the updated model,
-    Adam state and training loss. Episodes reset to the start state after
-    ``episode_length`` transitions or on reaching the goal; only completed
-    episodes enter the score series, and an episode's score sums the reward
-    of every state reached by an executed transition. A diverged update
-    (see ``check_update``) raises.
+    until reality deviates from it, scored by one ``spec.reward`` call, and cut
+    at the first goal hit. Then ``learn(model, adam_state, real, prefix, rng)``
+    returns the updated model, Adam state and loss. Episodes reset to the start
+    state after ``episode_length`` transitions or on reaching the goal; only
+    completed episodes enter the score series, and an episode's score sums, in
+    order, the reward of every state reached by a kept transition. A diverged
+    update (see ``check_update``) raises.
     """
     adam_state = init_adam_state(model.net)
     initial_norm = param_norm(model.net)
@@ -233,17 +232,17 @@ def run_online(
         )
         planned = propose(model, state, rng)[: max_h + 1]
         real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
-        # one reward per executed state; the episode ends exactly at the first goal hit
-        rewards, reached = [], False
-        for i in range(1, real.shape[0] if goal is not None else 1):
-            rewards.append(spec.reward(real[i], goal))
-            if rewards[-1] >= -config.goal_tolerance:
-                real, prefix, reached = real[: i + 1], prefix[: i + 1], True
-                break
+        # one reward call per executed chunk; the episode ends exactly at the first goal hit
+        rewards = spec.reward(real[1:], goal) if goal is not None else np.empty(0)
+        hits = np.flatnonzero(rewards >= -config.goal_tolerance)
+        reached = hits.size > 0
+        if reached:
+            end = hits[0] + 1
+            real, prefix, rewards = real[: end + 1], prefix[: end + 1], rewards[:end]
         model, adam_state, loss = learn(model, adam_state, real, prefix, rng)
         check_update(f"online update {len(metrics)}", loss, model.net, initial_norm)
         executed = real.shape[0] - 1
-        episode_return += sum(rewards)
+        episode_return += sum(rewards.tolist())
         episode_steps += executed
         steps_total += executed
         visited |= occupancy_cells(real[1:], config.occupancy_cell)

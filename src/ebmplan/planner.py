@@ -30,7 +30,7 @@ from .energy import (
     softmin_weights,
     trajectory_energies,
 )
-from .envs import EnvSpec, vectorized_reward
+from .envs import EnvSpec
 
 SCORE_MODES = ("gaussian-goal", "fixed-goal", "reward", "prior-only")
 
@@ -195,9 +195,9 @@ def mppi_refine(
 
 
 def plan_target(spec: EnvSpec, goal: np.ndarray | None, config: PlannerConfig):
-    """What ``plan`` scores against: the goal, a reward function, or nothing."""
+    """What ``plan`` scores against: the goal, ``spec.reward`` bound to it, or nothing."""
     if config.score_mode == "reward":
-        return vectorized_reward(spec, goal)
+        return lambda states: spec.reward(states, goal)
     if config.score_mode == "prior-only":
         return None
     return goal

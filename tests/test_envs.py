@@ -203,6 +203,18 @@ def test_rewards_non_positive_and_zero_iff_at_goal():
             assert spec.reward(state, state) == 0.0
 
 
+def test_reward_of_a_batch_equals_per_state_calls_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for kind in ("particle", "maze", "reacher"):
+        spec = make_env(kind)
+        states = rng.uniform(-4, 4, (7, 5, spec.state_dim))
+        goal = rng.uniform(-1, 1, spec.state_dim)
+        batch = spec.reward(states, goal)
+        assert batch.shape == (7, 5)
+        per_state = np.array([[spec.reward(s, goal) for s in row] for row in states])
+        assert np.array_equal(batch, per_state)
+
+
 def test_occupancy_examples():
     assert len(occupancy_cells(np.array([[0.31, 0.47]]), 0.1)) == 1
     assert len(occupancy_cells(np.array([[0.31, 0.47], [0.33, 0.41]]), 0.1)) == 1

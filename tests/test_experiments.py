@@ -322,6 +322,16 @@ def test_experiment_config_builds_envs_and_planner():
     assert online.planner.horizon == 8
 
 
+def test_top_level_episode_length_does_not_reach_online_config():
+    base = {"kind": "online", "goal": [0.2, 0.2], "online": {"env_step_budget": 10}}
+    top = ExperimentConfig.from_dict({**base, "episode_length": 80})
+    assert top.online_config().episode_length == 50
+    section = ExperimentConfig.from_dict(
+        {**base, "online": {"env_step_budget": 10, "episode_length": 80}}
+    )
+    assert section.online_config().episode_length == 80
+
+
 def test_evaluate_model_vacuous_obstacle_matches_open_scores():
     spec = particle_env(start=(0.0, 0.0))
     goal = np.array([0.2, 0.0])

@@ -6,11 +6,11 @@ from ebmplan.nn import (
     MlpGrads,
     MlpParams,
     adam_step,
+    backward,
     forward_cached,
     init_adam_state,
     load_mlp,
     mlp_forward,
-    mlp_gradients,
     mlp_init,
     save_mlp,
     zero_grads,
@@ -124,10 +124,11 @@ def test_params_validation_catches_broken_chain():
 
 def test_gradients_zero_cotangent_are_zero():
     net = small_net(5)
-    grads, x_cot = mlp_gradients(net, np.array([0.5, -0.5, 1.0]), np.zeros(2))
+    x = np.array([0.5, -0.5, 1.0])
+    grads, x_cot = backward(net, forward_cached(net, x[None])[1], np.zeros(2)[None])
     for g in grads.weights + grads.biases:
         assert np.array_equal(g, np.zeros_like(g))
-    assert np.array_equal(x_cot, np.zeros(3))
+    assert np.array_equal(x_cot[0], np.zeros(3))
 
 
 def test_gradients_identity_layer_outer_product():
@@ -136,10 +137,10 @@ def test_gradients_identity_layer_outer_product():
     )
     x = np.array([2.0, -1.0])
     cot = np.array([0.7, -0.4])
-    grads, x_cot = mlp_gradients(net, x, cot)
+    grads, x_cot = backward(net, forward_cached(net, x[None])[1], cot[None])
     assert np.allclose(grads.weights[0], np.outer(cot, x), rtol=1e-15)
     assert np.allclose(grads.biases[0], cot, rtol=1e-15)
-    assert np.allclose(x_cot, net.weights[0].T @ cot, rtol=1e-15)
+    assert np.allclose(x_cot[0], net.weights[0].T @ cot, rtol=1e-15)
 
 
 def test_gradients_match_finite_differences():
@@ -149,11 +150,11 @@ def test_gradients_match_finite_differences():
         net = small_net(seed, dims=tuple(int(d) for d in dims))
         x = np.random.default_rng(seed + 100).normal(size=3)
         cot = np.random.default_rng(seed + 200).normal(size=2)
-        analytic, x_cot = mlp_gradients(net, x, cot)
+        analytic, x_cot = backward(net, forward_cached(net, x[None])[1], cot[None])
         numeric = fd_param_grads(lambda p: float(mlp_forward(p, x) @ cot), net)
         assert max_rel_error(analytic, numeric) < 1e-4
         fd_x = fd_vector_grad(lambda v: float(mlp_forward(net, v) @ cot), x)
-        assert np.allclose(x_cot, fd_x, rtol=1e-4, atol=1e-8)
+        assert np.allclose(x_cot[0], fd_x, rtol=1e-4, atol=1e-8)
 
 
 def test_gradient_check_random_nets_within_spec_tolerance():
@@ -163,7 +164,7 @@ def test_gradient_check_random_nets_within_spec_tolerance():
         widths = [int(rng.integers(1, 17)) for _ in range(int(rng.integers(2, 4)))]
         net = mlp_init(widths + [1], rng)
         x = rng.normal(size=widths[0])
-        analytic, _ = mlp_gradients(net, x, np.ones(1))
+        analytic, _ = backward(net, forward_cached(net, x[None])[1], np.ones(1)[None])
         numeric = fd_param_grads(lambda p: float(mlp_forward(p, x)[0]), net, h=1e-5)
         assert max_rel_error(analytic, numeric) < 1e-4
 

@@ -265,6 +265,28 @@ def test_run_online_ends_the_episode_at_the_first_goal_hit():
     assert len(result.episode_scores) == 2
 
 
+def test_run_online_cuts_a_chunk_with_two_goal_hits_at_the_first():
+    spec = particle_env(start=(0.0, 0.0))
+    goal = np.array([0.1, 0.0])
+    # the plan passes x = 0.09 and x = 0.12, both within the tolerance
+    config = tiny_config(env_step_budget=5, episode_length=10, goal_tolerance=0.035)
+    model = make_energy_model(2, np.random.default_rng(0), (4,))
+    chunks = []
+
+    def propose(model, state, rng):
+        return state + np.arange(6)[:, None] * np.array([0.03, 0.0])
+
+    def learn(model, adam_state, real, prefix, rng):
+        chunks.append(real.copy())
+        return model, adam_state, 0.0
+
+    result = run_online(spec, goal, config, np.random.default_rng(0), model, propose, learn)
+    assert [len(chunk) for chunk in chunks] == [4, 3]
+    kept = [float(spec.reward(s, goal)) for s in chunks[0][1:]]
+    assert [r >= -config.goal_tolerance for r in kept] == [False, False, True]
+    assert result.episode_scores == [sum(kept)]
+
+
 def test_online_config_validation():
     with pytest.raises(ValueError):
         tiny_config(deviation_threshold=0.0)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebmplan.energy import EnergyModel, make_energy_model
+from ebmplan.envs import make_env
 from ebmplan.planner import (
     PlannerConfig,
     SmoothNoiseGen,
@@ -11,6 +12,7 @@ from ebmplan.planner import (
     mppi_refine,
     mppi_weights,
     plan,
+    plan_target,
 )
 
 
@@ -310,6 +312,17 @@ def test_plan_rejects_dimension_mismatch_and_bad_target():
     bad = PlannerConfig(horizon=4, score_mode="reward")
     with pytest.raises(ValueError):
         plan(zero_model(), np.zeros(2), np.zeros(2), bad, np.random.default_rng(0))
+
+
+def test_reward_mode_target_is_the_env_reward():
+    rng = np.random.default_rng(4)
+    config = PlannerConfig(score_mode="reward")
+    for kind in ("particle", "maze", "reacher"):
+        spec = make_env(kind)
+        goal = rng.uniform(-1, 1, spec.state_dim)
+        states = rng.uniform(-1, 1, (6, 5, spec.state_dim))
+        target = plan_target(spec, goal, config)
+        assert np.array_equal(target(states), spec.reward(states, goal))
 
 
 def test_plan_raises_when_all_scores_non_finite():
