@@ -49,13 +49,12 @@ EXPERIMENT_KINDS = (
     "online",
     "eval",
     "explore",
-    "obstacle-gen",
-    "ablation-correlated",
+    "comparison",
     "diversity",
     "heatmap",
 )
 # kinds that plan towards, or score against, the config's goal
-GOAL_KINDS = ("online", "eval", "obstacle-gen", "ablation-correlated", "diversity")
+GOAL_KINDS = ("online", "eval", "comparison", "diversity")
 
 CSV_HEADERS = {
     "online": ("seed", "step", "episode", "score", "loss", "executed", "occupancy"),
@@ -63,8 +62,8 @@ CSV_HEADERS = {
     "eval": ("seed", "episode", "score"),
     "explore": ("seed", "step", "occupancy"),
     "pretrain": ("seed", "step", "loss"),
-    "obstacle-gen": ("seed", "model", "condition", "episode", "score"),
-    "ablation-correlated": ("seed", "model", "mode", "episode", "score"),
+    "obstacle": ("seed", "model", "condition", "episode", "score"),
+    "ablation": ("seed", "model", "mode", "episode", "score"),
     "diversity": ("seed", "horizon", "spread"),
 }
 
@@ -395,7 +394,7 @@ class ExperimentConfig:
     online: dict = field(default_factory=dict)
     hidden_sizes: tuple[int, ...] = (64, 64)
     learning_rate: float = 1e-3
-    # pretraining / ablation / obstacle
+    # pretraining / comparison
     dataset_size: int = 20000
     dataset_reset_every: int = 400
     pretrain_steps: int = 3000
@@ -415,7 +414,7 @@ class ExperimentConfig:
     # heatmap
     resolution: int = 40
     heatmap_displacement: tuple[float, float] = (0.0, 0.0)
-    # obstacle-gen
+    # comparison
     obstacle: tuple[float, float, float, float] = (0.28, -0.22, 0.38, 0.26)
 
     def __post_init__(self) -> None:
@@ -445,8 +444,10 @@ class ExperimentConfig:
             raise ValueError("horizons must be a non-empty list of integers >= 2")
         if self.kind == "eval" and self.model_checkpoint is None:
             raise ValueError("experiment 'eval' needs model_checkpoint")
+        if self.kind not in ("eval", "diversity", "heatmap") and self.model_checkpoint is not None:
+            raise ValueError(f"model_checkpoint: experiment {self.kind!r} loads no checkpoint")
         spec = self.make_env()
-        if self.kind == "obstacle-gen":
+        if self.kind == "comparison":
             self.obstacle_env()
         if self.kind == "explore":
             if self.explore_policy not in EXPLORE_POLICIES:
@@ -473,9 +474,9 @@ class ExperimentConfig:
             raise ValueError(f"env_options: {exc}") from None
 
     def obstacle_env(self) -> EnvSpec:
-        """obstacle-gen's test env: the particle map with ``obstacle`` as a maze wall."""
+        """The comparison kind's blocked map: the particle map with ``obstacle`` as a wall."""
         if self.env != "particle":
-            raise ValueError("obstacle generalization runs on the particle environment")
+            raise ValueError("experiment 'comparison' runs on the particle environment only")
         start = tuple(self.make_env().start_state)
         try:
             return make_env("maze", layout=MazeLayout((self.obstacle,)), start=start)
@@ -523,7 +524,7 @@ def _load_model(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 # CSV_HEADERS key -> output file stem, where the two differ
-_CSV_STEMS = {"online": "metrics", "obstacle-gen": "obstacle", "ablation-correlated": "ablation"}
+_CSV_STEMS = {"online": "metrics"}
 
 
 def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
@@ -611,36 +612,38 @@ def _explore_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 
 def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    """Both model kinds pretrained on one random dataset, then evaluated.
+    """Both model kinds pretrained once per mode on one random dataset, then evaluated.
 
-    Each variant is a pretraining mode and the (label, environment) pairs it
-    is evaluated on; the label fills the third CSV column.
+    Every model plays the open map, for ``ablation.csv``; the shuffled models
+    also play the blocked map, for ``obstacle.csv``. The dataset comes from
+    ``default_rng(seed)``, each pretraining from a fresh ``default_rng(seed + 17)``
+    and each evaluation from a fresh ``default_rng(seed + 1)``, so seed s's
+    evaluation stream is seed s+1's dataset stream.
     """
-    if config.kind == "obstacle-gen":
-        variants = [("shuffled", [("open", spec), ("obstacle", config.obstacle_env())])]
-    else:
-        variants = [(mode, [(mode, spec)]) for mode in PRETRAIN_MODES]
     goal = np.asarray(config.goal, dtype=float)
-    dataset = gen_random_dataset(
-        spec, config.dataset_size, np.random.default_rng(seed), config.dataset_reset_every
-    )
-    rows, means = [], []
+    blocked = config.obstacle_env()
+    rng = np.random.default_rng(seed)
+    dataset = gen_random_dataset(spec, config.dataset_size, rng, config.dataset_reset_every)
+    tables, means = {"obstacle": [], "ablation": []}, []
+
+    def play(model, env, label):
+        scores = evaluate_model(model, env, goal, config.planner, config.episodes,
+                                config.episode_length, np.random.default_rng(seed + 1))
+        means.append(f"{label} {np.mean(scores):.3f}")
+        return list(enumerate(scores))
+
     for model_kind in ("ebm", "action-ff"):
         lr = config.learning_rate if model_kind == "ebm" else config.ff_learning_rate
-        for mode, envs in variants:
-            # fresh generator per model so both train from the same entropy stream
-            model = _pretrain(
-                config, model_kind, mode, dataset, np.random.default_rng(seed + 17), lr
-            ).model
-            for label, env in envs:
-                scores = evaluate_model(
-                    model, env, goal, config.planner, config.episodes,
-                    config.episode_length, np.random.default_rng(seed + 1),
-                )
-                rows += [(seed, model_kind, label, i, s) for i, s in enumerate(scores)]
-                means.append(f"{model_kind}/{label} {np.mean(scores):.3f}")
-    line = f"{_CSV_STEMS[config.kind]} seed {seed}: mean " + " ".join(means)
-    return {config.kind: rows}, None, line
+        for mode in PRETRAIN_MODES:
+            rng = np.random.default_rng(seed + 17)
+            model = _pretrain(config, model_kind, mode, dataset, rng, lr).model
+            scores = play(model, spec, f"{model_kind}/{mode}")
+            tables["ablation"] += [(seed, model_kind, mode, i, s) for i, s in scores]
+            if mode == "shuffled":
+                tables["obstacle"] += [(seed, model_kind, "open", i, s) for i, s in scores]
+                scores = play(model, blocked, f"{model_kind}/obstacle")
+                tables["obstacle"] += [(seed, model_kind, "obstacle", i, s) for i, s in scores]
+    return tables, None, f"comparison seed {seed}: mean " + " ".join(means)
 
 
 def _diversity_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
@@ -659,8 +662,7 @@ _SEED_RUNNERS = {
     "pretrain": _pretrain_seed,
     "eval": _eval_seed,
     "explore": _explore_seed,
-    "obstacle-gen": _comparison_seed,
-    "ablation-correlated": _comparison_seed,
+    "comparison": _comparison_seed,
     "diversity": _diversity_seed,
 }
 

@@ -182,7 +182,7 @@ def test_c05_learning_progress(workdir):
 
 def test_c06_correlated_data_ablation(workdir):
     t0 = time.time()
-    rows = read_csv(run_config("ablation_particle", workdir) / "ablation.csv")
+    rows = read_csv(run_config("comparison_particle", workdir) / "ablation.csv")
     means: dict = defaultdict(list)
     for row in rows:
         means[(int(row["seed"]), row["model"], row["mode"])].append(float(row["score"]))
@@ -205,7 +205,7 @@ def test_c06_correlated_data_ablation(workdir):
 
 def test_c07_obstacle_generalization(workdir):
     t0 = time.time()
-    rows = read_csv(run_config("obstacle_particle", workdir) / "obstacle.csv")
+    rows = read_csv(run_config("comparison_particle", workdir) / "obstacle.csv")
     means: dict = defaultdict(list)
     for row in rows:
         means[(int(row["seed"]), row["model"], row["condition"])].append(float(row["score"]))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from dataclasses import MISSING, fields
@@ -70,24 +71,11 @@ def tiny_configs(tmp_path):
             "seeds": [0, 1],
             "online": {"env_step_budget": 30, "occupancy_cell": 0.1},
         },
-        "obstacle-gen": {
-            "kind": "obstacle-gen",
+        "comparison": {
+            "kind": "comparison",
             "env": "particle",
             "env_options": {"start": [-0.4, 0.0]},
             "goal": [0.4, 0.0],
-            "seeds": [0],
-            "planner": TINY_PLANNER,
-            "hidden_sizes": [8, 8],
-            "dataset_size": 30,
-            "pretrain_steps": 4,
-            "pretrain_batch": 8,
-            "episodes": 1,
-            "episode_length": 4,
-        },
-        "ablation-correlated": {
-            "kind": "ablation-correlated",
-            "env": "particle",
-            "goal": [0.2, 0.2],
             "seeds": [0],
             "planner": TINY_PLANNER,
             "hidden_sizes": [8, 8],
@@ -208,8 +196,7 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"kind": "heatmap", "seeds": [0, 1]}, "one seed"),
         # configs that ask for no work
         ({"kind": "pretrain", "pretrain_steps": 0}, "pretrain_steps"),
-        ({"kind": "obstacle-gen", "pretrain_steps": 0}, "pretrain_steps"),
-        ({"kind": "ablation-correlated", "pretrain_steps": 0}, "pretrain_steps"),
+        ({"kind": "comparison", "pretrain_steps": 0}, "pretrain_steps"),
         ({"online": {"env_step_budget": 0}}, "env_step_budget"),
         ({"kind": "diversity", "horizons": []}, "horizons"),
         # explore takes its run length and cell size from online, like an online run
@@ -227,25 +214,28 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"online": {"hidden_sizes": [0]}}, "online.hidden_sizes"),
         ({"kind": "explore", "online": {"hidden_sizes": [0]}}, "online.hidden_sizes"),
         ({"kind": "pretrain", "dataset_reset_every": 0}, "dataset_reset_every"),
-        ({"kind": "obstacle-gen", "dataset_reset_every": 0}, "dataset_reset_every"),
-        ({"kind": "ablation-correlated", "dataset_reset_every": 0}, "dataset_reset_every"),
-        ({"kind": "ablation-correlated", "repeat_factor": 0}, "repeat_factor"),
+        ({"kind": "comparison", "dataset_reset_every": 0}, "dataset_reset_every"),
+        ({"kind": "comparison", "repeat_factor": 0}, "repeat_factor"),
         ({"kind": "explore", "env": "maze", "env_options": {"start": []}}, "start"),
         ({"kind": "explore", "env": "maze", "env_options": {"start": [0]}}, "start"),
-        ({"kind": "obstacle-gen", "env_options": {"start": [0]}}, "start"),
+        ({"kind": "comparison", "env_options": {"start": [0]}}, "start"),
         ({"env_options": {"start": [0.1, float("nan")]}}, "start"),
         ({"goal": [float("nan"), 0.0]}, "goal"),
         ({"learning_rate": 10**400}, "learning_rate"),
         ({"kind": "eval", "episodes": 0, "model_checkpoint": "model.npz"}, "episodes"),
-        ({"kind": "obstacle-gen", "episodes": 0}, "episodes"),
+        ({"kind": "comparison", "episodes": 0}, "episodes"),
         # kinds that read an energy network, given an action-FF checkpoint
         ({"kind": "heatmap", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
         ({"kind": "diversity", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
         ({"kind": "explore", "model": "action-ff"}, "'ebm'"),
-        # obstacle-gen's blocked maze is built at load
-        ({"kind": "obstacle-gen", "obstacle": [0.3, 0.3, 0.2, 0.4]}, "obstacle:"),
-        ({"kind": "obstacle-gen", "obstacle": [0.9, 0.0, 1.1, 0.1]}, "obstacle:"),
-        ({"kind": "obstacle-gen", "obstacle": [-0.6, -0.6, -0.4, -0.4]}, "obstacle:"),
+        # the comparison kind's blocked maze is built at load
+        ({"kind": "comparison", "obstacle": [0.3, 0.3, 0.2, 0.4]}, "obstacle:"),
+        ({"kind": "comparison", "obstacle": [0.9, 0.0, 1.1, 0.1]}, "obstacle:"),
+        ({"kind": "comparison", "obstacle": [-0.6, -0.6, -0.4, -0.4]}, "obstacle:"),
+        # a checkpoint that the kind would not load is not silently ignored
+        ({"model_checkpoint": "nope.npz"}, "model_checkpoint: experiment 'online'"),
+        ({"kind": "comparison", "model_checkpoint": "nope.npz"},
+         "model_checkpoint: experiment 'comparison'"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}
@@ -280,12 +270,12 @@ def test_eval_requires_checkpoint(tmp_path, capsys):
 
 def test_runner_rejections_leave_no_out_dir(tmp_path, capsys):
     configs = tiny_configs(tmp_path)
-    obstacle_on_reacher = {**configs["obstacle-gen"], "env": "reacher", "env_options": {}}
+    comparison_on_reacher = {**configs["comparison"], "env": "reacher", "env_options": {}}
     # (command, config a runner rejects after loading, a word the diagnostic must contain)
     cases = [
         ("online", {**configs["online"], "goal": [0.0, 0.0, 0.0]}, "goal"),
         ("explore", {**configs["explore"], "explore_policy": "bogus"}, "bogus"),
-        ("obstacle-gen", obstacle_on_reacher, "particle"),
+        ("comparison", comparison_on_reacher, "particle"),
         # diverging runs: numpy's overflow warning or the divergence guard ends them
         ("pretrain", {**configs["pretrain"], "learning_rate": 1e200}, "numerical blow-up"),
         ("pretrain", {**configs["pretrain"], "learning_rate": 1e6}, "numerical blow-up"),
@@ -300,6 +290,23 @@ def test_runner_rejections_leave_no_out_dir(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
         assert not out.exists()
+
+
+def test_comparison_open_rows_are_the_shuffled_ablation_rows(tmp_path):
+    # one pretraining per model and mode: obstacle.csv's open rows are the
+    # shuffled models' open-map rows of ablation.csv
+    config = {**tiny_configs(tmp_path)["comparison"], "seeds": [0, 1]}
+    cfg_path = write_config(tmp_path, "comparison.json", config)
+    out = tmp_path / "out-comparison"
+    assert main(["comparison", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    tables = {}
+    for name in ("obstacle", "ablation"):
+        lines = (out / f"{name}.csv").read_text().splitlines()[1:]
+        tables[name] = [line.split(",") for line in lines]
+        assert len(tables[name]) == len(config["seeds"]) * 2 * 2 * config["episodes"]
+    open_rows = [row[:2] + row[3:] for row in tables["obstacle"] if row[2] == "open"]
+    shuffled_rows = [row[:2] + row[3:] for row in tables["ablation"] if row[2] == "shuffled"]
+    assert open_rows == shuffled_rows and len(open_rows) == len(tables["obstacle"]) // 2
 
 
 def test_diversity_runs_in_every_score_mode(tmp_path):
@@ -335,12 +342,18 @@ def test_multi_seed_rows_are_single_seed_rows_in_seed_order(seeds):
 def test_shipped_configs_parse():
     from ebmplan.experiments import ExperimentConfig
 
-    config_dir = Path(__file__).resolve().parents[1] / "src" / "ebmplan" / "configs"
-    paths = sorted(config_dir.glob("*.json"))
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "ebmplan" / "configs").glob("*.json"))
     assert paths, "no shipped configs found"
+    kinds = set()
     for path in paths:
         config = ExperimentConfig.from_json(path)
         assert config.seeds
+        kinds.add(config.kind)
+    # every kind ships a config, and the README's subcommand list is the kind list
+    assert kinds == set(EXPERIMENT_KINDS)
+    sentence = (root / "README.md").read_text().split("Subcommands:", 1)[1].split(".", 1)[0]
+    assert re.findall(r"`([^`]+)`", sentence) == list(EXPERIMENT_KINDS)
 
 
 # a bounded arbitrary JSON value; json.dumps writes NaN and Infinity, which

@@ -272,7 +272,7 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0],
                                     "online": {"goal_tolerance": -0.01}})
     with pytest.raises(ValueError, match="obstacle: start state lies inside a wall"):
-        ExperimentConfig.from_dict({"kind": "obstacle-gen", "goal": [0.4, 0.0],
+        ExperimentConfig.from_dict({"kind": "comparison", "goal": [0.4, 0.0],
                                     "obstacle": [-0.6, -0.6, -0.4, -0.4]})
 
 
@@ -285,7 +285,7 @@ def test_obstacle_env_is_built_through_make_env(monkeypatch):
         return make_env(kind, **options)
 
     monkeypatch.setattr(experiments, "make_env", spy)
-    config = ExperimentConfig.from_dict({"kind": "obstacle-gen", "goal": [0.4, 0.0]})
+    config = ExperimentConfig.from_dict({"kind": "comparison", "goal": [0.4, 0.0]})
     assert "maze" in built
     blocked = config.obstacle_env()
     assert blocked.maze_layout.walls == (config.obstacle,)
@@ -360,5 +360,5 @@ def test_csv_headers_pinned():
     assert CSV_HEADERS["eval"] == ("seed", "episode", "score")
     assert CSV_HEADERS["explore"] == ("seed", "step", "occupancy")
     assert CSV_HEADERS["diversity"] == ("seed", "horizon", "spread")
-    assert CSV_HEADERS["obstacle-gen"] == ("seed", "model", "condition", "episode", "score")
-    assert CSV_HEADERS["ablation-correlated"] == ("seed", "model", "mode", "episode", "score")
+    assert CSV_HEADERS["obstacle"] == ("seed", "model", "condition", "episode", "score")
+    assert CSV_HEADERS["ablation"] == ("seed", "model", "mode", "episode", "score")
