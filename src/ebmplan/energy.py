@@ -21,15 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import (
-    MlpGrads,
-    MlpParams,
-    add_grads,
-    backward,
-    forward_cached,
-    mlp_forward,
-    mlp_init,
-)
+from .nn import MlpParams, backward, forward_cached, mlp_forward, mlp_init
 
 
 @dataclass
@@ -156,7 +148,7 @@ def reward_scores(
 
 def contrastive_loss_and_grads(
     model: EnergyModel, positives: np.ndarray, negatives: np.ndarray
-) -> tuple[float, MlpGrads]:
+) -> tuple[float, MlpParams]:
     """Mean of ``E+^2 + E-^2 + E+ - E-`` over the batch, with exact grads.
 
     Positive pairs are observed transitions whose energy is pushed down;
@@ -183,7 +175,7 @@ def contrastive_loss_and_grads(
     cot_neg = ((2.0 * e_neg - 1.0) / n)[:, None]
     grads_pos, _ = backward(model.net, cache_pos, cot_pos)
     grads_neg, _ = backward(model.net, cache_neg, cot_neg)
-    return loss, add_grads(grads_pos, grads_neg)
+    return loss, grads_pos.like(grads_pos.flat + grads_neg.flat)
 
 
 def softmin_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -44,17 +44,21 @@ from .svg import write_heatmap_svg
 
 PRETRAIN_MODES = ("shuffled", "sequential-repeated")
 EXPLORE_POLICIES = ("random", "ebm-prior")
-EXPERIMENT_KINDS = (
-    "pretrain",
-    "online",
-    "eval",
-    "explore",
-    "comparison",
-    "diversity",
-    "heatmap",
-)
-# kinds that plan towards, or score against, the config's goal
-GOAL_KINDS = ("online", "eval", "comparison", "diversity")
+_PRETRAIN_KEYS = {"hidden_sizes", "learning_rate", "dataset_size", "dataset_reset_every",
+                  "pretrain_steps", "pretrain_batch", "negative_scale"}
+# the top-level keys each kind reads beyond kind, env, env_options, model, seeds and out_dir
+KIND_KEYS = {
+    "pretrain": _PRETRAIN_KEYS,
+    "online": {"goal", "planner", "online", "hidden_sizes", "learning_rate"},
+    "eval": {"goal", "planner", "episodes", "episode_length", "model_checkpoint"},
+    "explore": {"planner", "online", "hidden_sizes", "learning_rate", "explore_policy"},
+    "comparison": _PRETRAIN_KEYS | {"goal", "planner", "ff_learning_rate", "repeat_factor",
+                                    "episodes", "episode_length", "obstacle"},
+    "diversity": {"goal", "planner", "hidden_sizes", "model_checkpoint", "horizons", "trials"},
+    "heatmap": {"hidden_sizes", "model_checkpoint", "resolution", "heatmap_displacement"},
+}
+EXPERIMENT_KINDS = tuple(KIND_KEYS)
+_COMMON_KEYS = {"kind", "env", "env_options", "model", "seeds", "out_dir"}
 
 CSV_HEADERS = {
     "online": ("seed", "step", "episode", "score", "loss", "executed", "occupancy"),
@@ -444,8 +448,6 @@ class ExperimentConfig:
             raise ValueError("horizons must be a non-empty list of integers >= 2")
         if self.kind == "eval" and self.model_checkpoint is None:
             raise ValueError("experiment 'eval' needs model_checkpoint")
-        if self.kind not in ("eval", "diversity", "heatmap") and self.model_checkpoint is not None:
-            raise ValueError(f"model_checkpoint: experiment {self.kind!r} loads no checkpoint")
         spec = self.make_env()
         if self.kind == "comparison":
             self.obstacle_env()
@@ -454,7 +456,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown exploration policy {self.explore_policy!r}")
             if self.explore_policy == "ebm-prior" and self.planner.score_mode != "prior-only":
                 raise ValueError("explore_policy 'ebm-prior' needs planner.score_mode 'prior-only'")
-        if self.kind in GOAL_KINDS:
+        if "goal" in KIND_KEYS[self.kind]:  # it plans towards, or scores against, the goal
             if self.goal is None:
                 raise ValueError(f"experiment {self.kind!r} needs a goal")
             if np.shape(self.goal) != (spec.state_dim,):
@@ -496,7 +498,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return _build(cls, data)
+        """Build and check a config; a key that its kind never reads is an error."""
+        config = _build(cls, data)
+        unread = sorted(set(data) - _COMMON_KEYS - KIND_KEYS[config.kind])
+        if unread:
+            raise ValueError(f"{unread[0]}: experiment {config.kind!r} does not read it")
+        return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -5,10 +5,12 @@ float64. The forward pass computes in the dtype of the parameters it is
 given, so planning-time scoring runs in float32 on an ``astype`` copy of the
 weights while the float64 originals keep every training bit.
 
-Parameters live in small dataclasses and are updated functionally:
-forward/backward passes never mutate their inputs, and ``adam_step`` returns
-fresh parameter and optimizer-state objects, so shared parameters are safe to
-read concurrently.
+All of a network's parameters live in one flat vector (see ``MlpParams``),
+and gradients and Adam moments share its layout, so the Adam update, a
+gradient sum, a dtype cast and the parameter norm are each one array
+operation. Parameters are updated functionally: forward/backward passes
+never mutate their inputs, and ``adam_step`` returns fresh parameter and
+optimizer-state objects, so shared parameters are safe to read concurrently.
 
 Layer convention: weight matrices are (out_dim, in_dim), a batch is one row
 per sample, and a layer computes ``act(x @ W.T + b)``. Supported activations
@@ -19,7 +21,7 @@ are ``"tanh"`` (the smooth nonlinearity used for hidden layers) and
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -32,61 +34,83 @@ ACTIVATIONS = ("tanh", "identity")
 
 @dataclass
 class MlpParams:
-    """Weights, biases and per-layer activation names of a dense MLP."""
+    """The weights, biases and per-layer activation names of a dense MLP.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    Every parameter lives in one flat vector: per layer, the (out_dim, in_dim)
+    weight in row-major order, then the bias. ``shapes`` lists the weight
+    shapes. ``weights`` and ``biases`` are views into ``flat``, built once per
+    object, so writing through them changes ``flat``. Gradients and Adam
+    moments use the same type, so each whole-network operation is one array
+    operation on ``flat``.
+    """
+
+    flat: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
     activations: list[str]
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.weights, self.biases = [], []
+        end = 0
+        for out_dim, in_dim in self.shapes:
+            start, end = end, end + out_dim * in_dim
+            self.weights.append(self.flat[start:end].reshape(out_dim, in_dim))
+            self.biases.append(self.flat[end:end + out_dim])
+            end += out_dim
+        if self.flat.shape != (end,):
+            raise ValueError(f"flat parameters of shape {self.flat.shape} != ({end},)")
+
+    @classmethod
+    def from_layers(cls, weights, biases, activations) -> "MlpParams":
+        """Pack per-layer weights and biases into one flat vector (a copy)."""
+        if not (len(weights) == len(biases) == len(activations) >= 1):
+            raise ValueError("weights, biases and activations must align and be non-empty")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+                raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} do not match")
+        flat = np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
+        return cls(flat, tuple(w.shape for w in weights), list(activations))
+
+    def like(self, flat: np.ndarray) -> "MlpParams":
+        """The same layers over another flat vector, which is not copied."""
+        return MlpParams(flat, self.shapes, list(self.activations))
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.shapes[0][1]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.shapes[-1][0]
 
     @property
     def num_layers(self) -> int:
-        return len(self.weights)
+        return len(self.shapes)
 
     def validate(self) -> None:
-        if not (len(self.weights) == len(self.biases) == len(self.activations) >= 1):
-            raise ValueError("weights, biases and activations must align and be non-empty")
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
+        if not (len(self.activations) == self.num_layers >= 1):
+            raise ValueError("layer shapes and activations must align and be non-empty")
+        for i, act in enumerate(self.activations):
             if act not in ACTIVATIONS:
                 raise ValueError(f"layer {i}: unknown activation {act!r}")
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} do not match")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and self.shapes[i][1] != self.shapes[i - 1][0]:
                 raise ValueError(
-                    f"layer {i}: in_dim {w.shape[1]} != previous out_dim "
-                    f"{self.weights[i - 1].shape[0]}"
+                    f"layer {i}: in_dim {self.shapes[i][1]} != previous out_dim "
+                    f"{self.shapes[i - 1][0]}"
                 )
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValueError(f"layer {i}: non-finite parameter entries")
+        if not np.isfinite(self.flat).all():
+            raise ValueError("non-finite parameter entries")
 
     def astype(self, dtype) -> "MlpParams":
         """A copy with every weight and bias cast to ``dtype``; never aliases."""
-        return MlpParams(
-            [w.astype(dtype) for w in self.weights],
-            [b.astype(dtype) for b in self.biases],
-            list(self.activations),
-        )
-
-
-@dataclass
-class MlpGrads:
-    """Per-parameter values with the same shapes as an MlpParams collection."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+        return self.like(self.flat.astype(dtype))
 
 
 @dataclass
 class AdamState:
-    first: MlpGrads
-    second: MlpGrads
+    first: MlpParams
+    second: MlpParams
     step_count: int = 0
 
 
@@ -120,32 +144,22 @@ def mlp_init(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
         acts.append("identity" if i == len(layer_dims) - 2 else "tanh")
-    params = MlpParams(weights, biases, acts)
+    params = MlpParams.from_layers(weights, biases, acts)
     params.validate()
     return params
 
 
-def zero_grads(params: MlpParams) -> MlpGrads:
-    return MlpGrads(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
+def zero_grads(params: MlpParams) -> MlpParams:
+    return params.like(np.zeros_like(params.flat))
 
 
 def init_adam_state(params: MlpParams) -> AdamState:
     return AdamState(zero_grads(params), zero_grads(params), 0)
 
 
-def add_grads(a: MlpGrads, b: MlpGrads) -> MlpGrads:
-    return MlpGrads(
-        [wa + wb for wa, wb in zip(a.weights, b.weights)],
-        [ba + bb for ba, bb in zip(a.biases, b.biases)],
-    )
-
-
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     # the input takes the parameters' dtype, so the pass runs in their precision
-    x = np.asarray(x, dtype=params.weights[0].dtype)
+    x = np.asarray(x, dtype=params.flat.dtype)
     if x.shape[-1] != params.in_dim:
         raise ValueError(f"input dim {x.shape[-1]} != network in_dim {params.in_dim}")
     return x
@@ -186,17 +200,17 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 def backward(
     params: MlpParams, cache: list[np.ndarray], out_cotangent: np.ndarray
-) -> tuple[MlpGrads, np.ndarray]:
+) -> tuple[MlpParams, np.ndarray]:
     """Reverse-mode pass from a batched output cotangent.
 
     Returns gradients of ``sum_n <output_n, out_cotangent_n>`` with respect to
-    every parameter (summed over the batch) plus the cotangent at the input.
+    every parameter (summed over the batch), in the layout of ``params``, plus
+    the cotangent at the input.
     """
     g = np.asarray(out_cotangent, dtype=float)
     if g.shape != cache[-1].shape:
         raise ValueError(f"cotangent shape {g.shape} != output shape {cache[-1].shape}")
-    d_weights: list[np.ndarray] = [None] * params.num_layers  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * params.num_layers  # type: ignore[list-item]
+    grads = params.like(np.empty_like(params.flat))
     for i in range(params.num_layers - 1, -1, -1):
         act = params.activations[i]
         if act == "tanh":
@@ -204,54 +218,35 @@ def backward(
             g = g * (1.0 - cache[i + 1] * cache[i + 1])
         elif act != "identity":
             raise ValueError(f"unknown activation {act!r}")
-        d_weights[i] = g.T @ cache[i]
-        d_biases[i] = g.sum(axis=0)
+        np.matmul(g.T, cache[i], out=grads.weights[i])
+        g.sum(axis=0, out=grads.biases[i])
         g = g @ params.weights[i]
-    return MlpGrads(d_weights, d_biases), g
+    return grads, g
 
 
 def adam_step(
-    params: MlpParams, grads: MlpGrads, state: AdamState, hyper: AdamHyper
+    params: MlpParams, grads: MlpParams, state: AdamState, hyper: AdamHyper
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; returns new parameters and state."""
+    """One bias-corrected Adam update (Kingma & Ba, 2015) of every parameter at
+    once, as one update of ``flat``; returns new parameters and state."""
     if state.step_count < 0:
         raise ValueError("step_count must be non-negative")
+    if grads.shapes != params.shapes:
+        raise ValueError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
     t = state.step_count + 1
     b1, b2 = hyper.beta1, hyper.beta2
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-
-    def _update(p, g, m, v):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m_new = b1 * m + (1 - b1) * g
-        v_new = b2 * v + (1 - b2) * g * g
-        m_hat = m_new / (1 - b1**t)
-        v_hat = v_new / (1 - b2**t)
-        p_new = p - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
-        return p_new, m_new, v_new
-
-    for i in range(params.num_layers):
-        w, mw, vw = _update(
-            params.weights[i], grads.weights[i], state.first.weights[i], state.second.weights[i]
-        )
-        b, mb, vb = _update(
-            params.biases[i], grads.biases[i], state.first.biases[i], state.second.biases[i]
-        )
-        new_w.append(w)
-        new_b.append(b)
-        m_w.append(mw)
-        m_b.append(mb)
-        v_w.append(vw)
-        v_b.append(vb)
-    new_params = MlpParams(new_w, new_b, list(params.activations))
-    new_state = AdamState(MlpGrads(m_w, m_b), MlpGrads(v_w, v_b), t)
-    return new_params, new_state
+    g = grads.flat
+    m = b1 * state.first.flat + (1 - b1) * g
+    v = b2 * state.second.flat + (1 - b2) * g * g
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+    return params.like(flat), AdamState(params.like(m), params.like(v), t)
 
 
 def param_norm(params: MlpParams) -> float:
-    """Euclidean norm of all weights and biases together."""
-    return float(np.sqrt(sum(np.vdot(p, p) for p in (*params.weights, *params.biases))))
+    """Euclidean norm of all weights and biases together: one norm of ``flat``."""
+    return float(np.sqrt(np.vdot(params.flat, params.flat)))
 
 
 def check_update(update: str, loss: float, params: MlpParams, initial_norm: float) -> None:
@@ -294,7 +289,7 @@ def load_mlp(path: str | Path) -> MlpParams:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         n = int(data["num_layers"])
-        params = MlpParams(
+        params = MlpParams.from_layers(
             [data[f"w{i}"] for i in range(n)],
             [data[f"b{i}"] for i in range(n)],
             [str(a) for a in data["activations"]],

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ebmplan.nn import MlpGrads, MlpParams
+from ebmplan.nn import MlpParams
 
 
 def naive_mlp_forward(params: MlpParams, x) -> list[float]:
@@ -25,7 +25,7 @@ def naive_mlp_forward(params: MlpParams, x) -> list[float]:
     return values
 
 
-def fd_param_grads(loss_fn, params: MlpParams, h: float = 1e-5) -> MlpGrads:
+def fd_param_grads(loss_fn, params: MlpParams, h: float = 1e-5) -> MlpParams:
     """Central finite differences of ``loss_fn(params)`` over every entry."""
 
     def perturbed(kind, layer, index, delta):
@@ -51,10 +51,10 @@ def fd_param_grads(loss_fn, params: MlpParams, h: float = 1e-5) -> MlpGrads:
             down = loss_fn(perturbed("b", layer, index, -h))
             g[index] = (up - down) / (2 * h)
         grads_b.append(g)
-    return MlpGrads(grads_w, grads_b)
+    return MlpParams.from_layers(grads_w, grads_b, params.activations)
 
 
-def max_rel_error(analytic: MlpGrads, numeric: MlpGrads, floor: float = 1e-6) -> float:
+def max_rel_error(analytic: MlpParams, numeric: MlpParams, floor: float = 1e-6) -> float:
     """Largest per-coordinate relative error between two gradient collections."""
     worst = 0.0
     for a, n in zip(analytic.weights + analytic.biases, numeric.weights + numeric.biases):

@@ -20,7 +20,7 @@ from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 def exact_linear_particle_model():
     # single identity layer computing s' = s + a
     weights = np.concatenate([np.eye(2), np.eye(2)], axis=1)
-    net = MlpParams([weights], [np.zeros(2)], ["identity"])
+    net = MlpParams.from_layers([weights], [np.zeros(2)], ["identity"])
     return ActionFFModel(net, state_dim=2, action_dim=2)
 
 

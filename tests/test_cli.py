@@ -232,10 +232,17 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"kind": "comparison", "obstacle": [0.3, 0.3, 0.2, 0.4]}, "obstacle:"),
         ({"kind": "comparison", "obstacle": [0.9, 0.0, 1.1, 0.1]}, "obstacle:"),
         ({"kind": "comparison", "obstacle": [-0.6, -0.6, -0.4, -0.4]}, "obstacle:"),
-        # a checkpoint that the kind would not load is not silently ignored
+        # a key that the kind never reads is not silently ignored: a checkpoint
+        # it would not load, or a setting of another kind
         ({"model_checkpoint": "nope.npz"}, "model_checkpoint: experiment 'online'"),
         ({"kind": "comparison", "model_checkpoint": "nope.npz"},
          "model_checkpoint: experiment 'comparison'"),
+        ({"trials": 16}, "trials: experiment 'online' does not read it"),
+        ({"resolution": 40}, "resolution: experiment 'online' does not read it"),
+        ({"obstacle": [0.28, -0.22, 0.38, 0.26]},
+         "obstacle: experiment 'online' does not read it"),
+        ({"pretrain_steps": 3000}, "pretrain_steps: experiment 'online' does not read it"),
+        ({"explore_policy": "random"}, "explore_policy: experiment 'online' does not read it"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", "goal": [0.0, 0.0], **extra}
@@ -345,11 +352,21 @@ def test_shipped_configs_parse():
     root = Path(__file__).resolve().parents[1]
     paths = sorted((root / "src" / "ebmplan" / "configs").glob("*.json"))
     assert paths, "no shipped configs found"
-    kinds = set()
+    kinds, checkpoints, written = set(), {}, {}
     for path in paths:
         config = ExperimentConfig.from_json(path)
         assert config.seeds
         kinds.add(config.kind)
+        if config.model_checkpoint is not None:
+            checkpoints[config.model_checkpoint] = config.model
+        if config.kind in ("pretrain", "online"):
+            for seed in config.seeds:
+                written[f"{config.out_dir}/model_{config.model}_seed{seed}.npz"] = config.model
+    # every shipped checkpoint is one that a shipped pretrain or online config
+    # writes, with the same model kind, relative to the same working directory
+    assert checkpoints
+    for checkpoint, model in checkpoints.items():
+        assert written.get(checkpoint) == model, checkpoint
     # every kind ships a config, and the README's subcommand list is the kind list
     assert kinds == set(EXPERIMENT_KINDS)
     sentence = (root / "README.md").read_text().split("Subcommands:", 1)[1].split(".", 1)[0]

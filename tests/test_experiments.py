@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -218,7 +220,7 @@ def test_energy_heatmap_even_network_is_grid_symmetric():
     w0[2, 1], w0[3, 1] = a, a
     b0 = np.array([-c, c, -c, c])
     w1 = np.array([[1.0, -1.0, 1.0, -1.0]])
-    net = MlpParams([w0, w1], [b0, np.zeros(1)], ["tanh", "identity"])
+    net = MlpParams.from_layers([w0, w1], [b0, np.zeros(1)], ["tanh", "identity"])
     model = EnergyModel(net, 2)
     matrix = energy_heatmap(model, 16)
     assert np.allclose(matrix, matrix[::-1, :], atol=1e-10)  # y flip
@@ -324,7 +326,10 @@ def test_experiment_config_builds_envs_and_planner():
 
 def test_top_level_episode_length_does_not_reach_online_config():
     base = {"kind": "online", "goal": [0.2, 0.2], "online": {"env_step_budget": 10}}
-    top = ExperimentConfig.from_dict({**base, "episode_length": 80})
+    # an online config may not set it, and the field, set in code, is not read
+    with pytest.raises(ValueError, match="episode_length: experiment 'online' does not read it"):
+        ExperimentConfig.from_dict({**base, "episode_length": 80})
+    top = replace(ExperimentConfig.from_dict(base), episode_length=80)
     assert top.online_config().episode_length == 50
     section = ExperimentConfig.from_dict(
         {**base, "online": {"env_step_budget": 10, "episode_length": 80}}

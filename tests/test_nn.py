@@ -3,7 +3,6 @@ import pytest
 
 from ebmplan.nn import (
     AdamHyper,
-    MlpGrads,
     MlpParams,
     adam_step,
     backward,
@@ -31,7 +30,7 @@ def test_forward_zero_parameters_is_zero_map():
 
 
 def test_forward_single_identity_layer():
-    net = MlpParams([np.array([[1.0, 1.0]])], [np.array([0.0])], ["identity"])
+    net = MlpParams.from_layers([np.array([[1.0, 1.0]])], [np.array([0.0])], ["identity"])
     assert mlp_forward(net, np.array([2.0, 3.0]))[0] == 5.0
 
 
@@ -115,7 +114,7 @@ def test_forward_dimension_mismatch_raises():
 
 def test_params_validation_catches_broken_chain():
     with pytest.raises(ValueError):
-        MlpParams(
+        MlpParams.from_layers(
             [np.zeros((4, 3)), np.zeros((2, 5))],
             [np.zeros(4), np.zeros(2)],
             ["tanh", "identity"],
@@ -132,7 +131,7 @@ def test_gradients_zero_cotangent_are_zero():
 
 
 def test_gradients_identity_layer_outer_product():
-    net = MlpParams(
+    net = MlpParams.from_layers(
         [np.array([[0.3, -0.2], [1.0, 0.5]])], [np.zeros(2)], ["identity"]
     )
     x = np.array([2.0, -1.0])
@@ -183,8 +182,8 @@ def test_adam_zero_gradients_zero_moments_is_identity():
 def test_adam_single_step_hand_computed():
     # theta = 0, g = 1, fresh state, lr = 0.1:
     # m_hat = 1, v_hat = 1, theta' = -0.1 / (1 + eps)
-    net = MlpParams([np.array([[0.0]])], [np.array([0.0])], ["identity"])
-    grads = MlpGrads([np.array([[1.0]])], [np.array([0.0])])
+    net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])], ["identity"])
+    grads = MlpParams.from_layers([np.array([[1.0]])], [np.array([0.0])], ["identity"])
     hyper = AdamHyper(learning_rate=0.1)
     new_net, state = adam_step(net, grads, init_adam_state(net), hyper)
     expected = -0.1 / (1.0 + hyper.epsilon)
@@ -195,8 +194,8 @@ def test_adam_single_step_hand_computed():
 def test_adam_two_identical_steps_accumulate_first_moments():
     # m_t = (1 - beta1^t) * g for constant gradient g
     g = 0.37
-    net = MlpParams([np.array([[0.0]])], [np.array([0.0])], ["identity"])
-    grads = MlpGrads([np.array([[g]])], [np.array([0.0])])
+    net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])], ["identity"])
+    grads = MlpParams.from_layers([np.array([[g]])], [np.array([0.0])], ["identity"])
     hyper = AdamHyper()
     state = init_adam_state(net)
     net, state = adam_step(net, grads, state, hyper)
@@ -206,11 +205,12 @@ def test_adam_two_identical_steps_accumulate_first_moments():
 
 
 def test_adam_shape_mismatch_raises():
+    # gradients of another layout, with the same parameter count (32) and not
     net = small_net(2)
-    grads = zero_grads(net)
-    grads.weights[0] = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        adam_step(net, grads, init_adam_state(net), AdamHyper())
+    for dims in ((2, 6, 2), (3, 4, 2)):
+        grads = zero_grads(small_net(2, dims=dims))
+        with pytest.raises(ValueError, match="shapes"):
+            adam_step(net, grads, init_adam_state(net), AdamHyper())
 
 
 def test_adam_hyper_validation():
@@ -247,3 +247,80 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, net.biases):
         assert np.array_equal(a, b)
+
+
+def reference_adam(params, grads, first, second, t, hyper):
+    """Adam applied to each per-layer array on its own, as a reference."""
+    b1, b2 = hyper.beta1, hyper.beta2
+    new_p, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, first, second):
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        new_p.append(p - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon))
+        new_m.append(m)
+        new_v.append(v)
+    return new_p, new_m, new_v
+
+
+def test_adam_step_is_the_per_layer_update_bit_for_bit():
+    hyper = AdamHyper(learning_rate=3e-3)
+    for dims in ((8, 64, 64, 1), (4, 64, 64, 2)):
+        rng = np.random.default_rng(sum(dims))
+        net = mlp_init(dims, rng)
+        state = init_adam_state(net)
+        params = net.weights + net.biases
+        first = [np.zeros_like(p) for p in params]
+        second = [np.zeros_like(p) for p in params]
+        for t in (1, 2, 3):
+            grads = net.like(rng.normal(size=net.flat.size))
+            net, state = adam_step(net, grads, state, hyper)
+            params, first, second = reference_adam(
+                params, grads.weights + grads.biases, first, second, t, hyper
+            )
+            assert state.step_count == t
+            for got, want in ((net, params), (state.first, first), (state.second, second)):
+                for a, b in zip(got.weights + got.biases, want):
+                    assert np.array_equal(a, b), (dims, t)
+
+
+def test_backward_gradients_are_the_per_layer_products_bit_for_bit():
+    for dims in ((8, 64, 64, 1), (4, 64, 64, 2), (3, 5, 2)):
+        rng = np.random.default_rng(sum(dims))
+        net = mlp_init(dims, rng)
+        for b in net.biases:
+            b[:] = rng.normal(scale=0.3, size=b.shape)
+        for rows in (1, 48):
+            _, cache = forward_cached(net, rng.normal(size=(rows, dims[0])))
+            cot = rng.normal(size=(rows, dims[-1]))
+            grads, x_cot = backward(net, cache, cot)
+            g = cot
+            for i in range(net.num_layers - 1, -1, -1):
+                if net.activations[i] == "tanh":
+                    g = g * (1.0 - cache[i + 1] * cache[i + 1])
+                assert np.array_equal(grads.weights[i], g.T @ cache[i])
+                assert np.array_equal(grads.biases[i], g.sum(axis=0))
+                g = g @ net.weights[i]
+            assert np.array_equal(x_cot, g)
+
+
+def test_layer_views_share_the_flat_vector():
+    net = small_net(21, dims=(3, 5, 2))
+    assert net.flat.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+    net.weights[1][1, 2] = 7.0
+    net.biases[0][4] = -3.0
+    assert net.flat[3 * 5 + 5 + 1 * 5 + 2] == 7.0
+    assert net.flat[3 * 5 + 4] == -3.0
+    assert net.weights is net.weights and net.biases is net.biases
+    for dtype in (np.float32, np.float64):
+        cast = net.astype(dtype)
+        assert not np.shares_memory(cast.flat, net.flat)
+        cast.weights[0][0, 0] = 99.0
+        assert net.weights[0][0, 0] != 99.0
+    assert np.shares_memory(net.like(net.flat).flat, net.flat)
+    for size in (net.flat.size - 1, net.flat.size + 1):
+        with pytest.raises(ValueError):
+            net.like(np.zeros(size))
+    with pytest.raises(ValueError):
+        MlpParams.from_layers([np.zeros((4, 3))], [np.zeros(3)], ["identity"])
