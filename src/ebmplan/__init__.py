@@ -22,6 +22,7 @@ from .energy import (
     EnergyModel,
     collate,
     contrastive_loss_and_grads,
+    contrastive_train_step,
     make_energy_model,
     pack_pairs,
     sample_negative_pairs,
@@ -59,7 +60,6 @@ from .online import (
     OnlineConfig,
     OnlineResult,
     ReplayBuffer,
-    contrastive_update,
     execute_plan,
     online_train,
     run_online,

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import pack_pairs
 from .envs import EnvSpec
 from .nn import (
     AdamHyper,
@@ -27,7 +26,7 @@ from .nn import (
     mlp_forward,
     mlp_init,
 )
-from .online import OnlineConfig, OnlineResult, ReplayBuffer, run_online
+from .online import OnlineConfig, OnlineResult, run_online
 from .planner import PlannerConfig, mppi_refine
 
 
@@ -68,7 +67,7 @@ def ff_predict(model: ActionFFModel, state: np.ndarray, action: np.ndarray) -> n
             f"expected state dim {model.state_dim} and action dim {model.action_dim}, "
             f"got {state.shape} and {action.shape}"
         )
-    return mlp_forward(model.net, pack_pairs(state, action))
+    return mlp_forward(model.net, np.concatenate([state, action], axis=-1))
 
 
 def ff_mse_loss_and_grads(model: ActionFFModel, states, actions, next_states):
@@ -79,7 +78,7 @@ def ff_mse_loss_and_grads(model: ActionFFModel, states, actions, next_states):
     n = states.shape[0]
     if n == 0:
         raise ValueError("batch must be non-empty")
-    pred, cache = forward_cached(model.net, pack_pairs(states, actions))
+    pred, cache = forward_cached(model.net, np.concatenate([states, actions], axis=1))
     err = pred - next_states
     loss = float(np.mean(err**2))
     # d loss / d pred for mean over n * state_dim entries
@@ -190,33 +189,20 @@ def online_train_action_ff(
 
     Plans in action space, executes the predicted trajectory through inverse
     dynamics with the same deviation-triggered stopping, and fits the model by
-    mean squared error on the executed transitions plus replay samples.
+    mean squared error on the executed transitions plus replay samples. Each
+    row is ``(s, a, s')``, with ``a`` the command that ``execute_plan`` sent,
+    clipped to the admissible set as the environment clips it.
     """
     model = make_action_ff(spec.state_dim, spec.action_dim, rng, config.hidden_sizes)
-    buffer = ReplayBuffer(config.buffer_capacity)
-    s_dim, a_end = spec.state_dim, spec.state_dim + spec.action_dim
 
     def propose(model, state, rng):
         return ff_plan(model, state, goal, config.planner, rng, spec.clip_action)[1]
 
-    def learn(model, adam_state, real, prefix, rng):
-        # re-derive the commands execute_plan applied (env clipping included),
-        # so each (s, a, s') triple matches an observed transition
-        actions = np.stack(
-            [
-                spec.clip_action(spec.inverse_dynamics(real[i], prefix[i + 1]))
-                for i in range(real.shape[0] - 1)
-            ]
-        )
-        fresh = np.concatenate([real[:-1], actions, real[1:]], axis=1)
-        batch = buffer.with_replay(fresh, config.batch_size, rng)
-        model, adam_state, loss = ff_train_step(
-            model,
-            (batch[:, :s_dim], batch[:, s_dim:a_end], batch[:, a_end:]),
-            config.adam,
-            adam_state,
-        )
-        buffer.add(fresh)
-        return model, adam_state, loss
+    def fresh_rows(real, prefix, actions):
+        return (np.concatenate([real[:-1], spec.clip_action(actions), real[1:]], axis=1),)
 
-    return run_online(spec, goal, config, rng, model, propose, learn)
+    def train_step(model, batch, hyper, adam_state):
+        split = np.split(batch[0], [spec.state_dim, spec.state_dim + spec.action_dim], axis=1)
+        return ff_train_step(model, split, hyper, adam_state)
+
+    return run_online(spec, goal, config, rng, model, propose, fresh_rows, train_step)

@@ -21,7 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import MlpParams, backward, forward_cached, mlp_forward, mlp_init
+from .nn import (
+    AdamHyper,
+    AdamState,
+    MlpParams,
+    adam_step,
+    backward,
+    forward_cached,
+    mlp_forward,
+    mlp_init,
+)
 
 
 @dataclass
@@ -176,6 +185,19 @@ def contrastive_loss_and_grads(
     grads_pos, _ = backward(model.net, cache_pos, cot_pos)
     grads_neg, _ = backward(model.net, cache_neg, cot_neg)
     return loss, grads_pos.like(grads_pos.flat + grads_neg.flat)
+
+
+def contrastive_train_step(
+    model: EnergyModel,
+    batch: tuple[np.ndarray, np.ndarray],
+    hyper: AdamHyper,
+    adam_state: AdamState,
+) -> tuple[EnergyModel, AdamState, float]:
+    """One Adam step on the contrastive loss of a (positives, negatives) batch."""
+    positives, negatives = batch
+    loss, grads = contrastive_loss_and_grads(model, positives, negatives)
+    net, new_state = adam_step(model.net, grads, adam_state, hyper)
+    return EnergyModel(net, model.state_dim), new_state, loss
 
 
 def softmin_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:

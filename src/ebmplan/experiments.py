@@ -30,14 +30,14 @@ from .baselines import (
 )
 from .energy import (
     EnergyModel,
-    contrastive_loss_and_grads,
+    contrastive_train_step,
     make_energy_model,
     pack_pairs,
     sample_negative_pairs,
     transition_energies,
 )
 from .envs import ENV_FACTORIES, MAP_HIGH, MAP_LOW, EnvSpec, MazeLayout, make_env, occupancy_cells
-from .nn import AdamHyper, adam_step, check_update, init_adam_state, load_mlp, param_norm, save_mlp
+from .nn import AdamHyper, check_update, init_adam_state, load_mlp, param_norm, save_mlp
 from .online import OnlineConfig, online_train
 from .planner import PlannerConfig, plan, plan_target
 from .svg import write_heatmap_svg
@@ -58,6 +58,12 @@ KIND_KEYS = {
     "heatmap": {"hidden_sizes", "model_checkpoint", "resolution", "heatmap_displacement"},
 }
 EXPERIMENT_KINDS = tuple(KIND_KEYS)
+# the keys, dotted inside the online section, that an explore policy never reads
+EXPLORE_UNREAD = {
+    "random": {"planner", "hidden_sizes", "learning_rate", "online.deviation_threshold",
+               "online.batch_size", "online.buffer_capacity", "online.goal_tolerance"},
+    "ebm-prior": {"online.goal_tolerance"},
+}
 _COMMON_KEYS = {"kind", "env", "env_options", "model", "seeds", "out_dir"}
 
 CSV_HEADERS = {
@@ -154,20 +160,18 @@ def pretrain(
     if model_kind == "ebm":
         pairs = pack_pairs(states, next_states)
         model = make_energy_model(states.shape[1], rng, hidden_sizes)
+        train_step = contrastive_train_step
 
-        def train_step(model, adam_state, idx):
+        def batch_of(model, idx):
             positives = pairs[idx]
-            negatives = sample_negative_pairs(model, positives, rng, scale=negative_scale)
-            loss, grads = contrastive_loss_and_grads(model, positives, negatives)
-            net, adam_state = adam_step(model.net, grads, adam_state, adam)
-            return EnergyModel(net, model.state_dim), adam_state, loss
+            return positives, sample_negative_pairs(model, positives, rng, scale=negative_scale)
 
     elif model_kind == "action-ff":
         model = make_action_ff(states.shape[1], actions.shape[1], rng, hidden_sizes)
+        train_step = ff_train_step
 
-        def train_step(model, adam_state, idx):
-            batch = (states[idx], actions[idx], next_states[idx])
-            return ff_train_step(model, batch, adam, adam_state)
+        def batch_of(model, idx):
+            return states[idx], actions[idx], next_states[idx]
 
     else:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -180,7 +184,7 @@ def pretrain(
             idx = rng.integers(0, n, size=batch_size)
         else:
             idx = np.array([(step // repeat_factor) % n])
-        model, adam_state, loss = train_step(model, adam_state, idx)
+        model, adam_state, loss = train_step(model, batch_of(model, idx), adam, adam_state)
         check_update(f"pretrain step {step}", loss, model.net, initial_norm)
         if step % 100 == 0 or step == steps - 1:
             losses.append((step, loss))
@@ -498,11 +502,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Build and check a config; a key that its kind never reads is an error."""
+        """Build and check a config; a key its kind or explore policy never reads is an error."""
         config = _build(cls, data)
         unread = sorted(set(data) - _COMMON_KEYS - KIND_KEYS[config.kind])
+        reader = f"experiment {config.kind!r}"
+        if config.kind == "explore" and not unread:
+            given = set(data) | {f"online.{key}" for key in config.online}
+            unread = sorted(given & EXPLORE_UNREAD[config.explore_policy])
+            reader = f"explore policy {config.explore_policy!r}"
         if unread:
-            raise ValueError(f"{unread[0]}: experiment {config.kind!r} does not read it")
+            raise ValueError(f"{unread[0]}: {reader} does not read it")
         return config
 
     @classmethod

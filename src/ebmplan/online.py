@@ -3,13 +3,13 @@
 ``run_online`` is the one loop for both model kinds. Each iteration plans a
 trajectory with the current model, executes it through ground-truth inverse
 dynamics until the real state deviates from the plan by more than a
-threshold, and hands the executed trajectory and the matching planned prefix
-to the model kind's update rule. For the energy model that rule is
-``contrastive_update``: the executed real transitions are positives, the
-attempted planned transitions up to the deviation are negatives, each mixed
-with samples from its replay buffer. When execution tracks the plan exactly
-the fresh positives and negatives coincide and cancel, so only planning
-errors drive learning.
+threshold, and takes one training step on the fresh rows that the model kind
+derives from the executed chunk, each array padded with samples from its own
+replay buffer. For the energy model the rows are the executed real
+transitions, as positives, and the attempted planned transitions up to the
+deviation, as negatives, and the step is ``energy.contrastive_train_step``.
+When execution tracks the plan exactly the fresh positives and negatives
+coincide and cancel, so only planning errors drive learning.
 """
 
 from __future__ import annotations
@@ -19,14 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import (
-    EnergyModel,
-    collate,
-    contrastive_loss_and_grads,
-    make_energy_model,
-)
+from .energy import collate, contrastive_train_step, make_energy_model
 from .envs import EnvSpec, occupancy_cells
-from .nn import AdamHyper, AdamState, adam_step, check_update, init_adam_state, param_norm
+from .nn import AdamHyper, check_update, init_adam_state, param_norm
 from .planner import PlannerConfig, plan, plan_target
 
 
@@ -124,7 +119,7 @@ class OnlineConfig:
 
 def execute_plan(
     spec: EnvSpec, state: np.ndarray, planned: np.ndarray, deviation_threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Follow a planned trajectory until reality drifts away from it.
 
     Each step feeds the next planned state through the environment's inverse
@@ -132,6 +127,8 @@ def execute_plan(
     first transition whose real outcome is farther than ``deviation_threshold``
     from the planned state; that transition is kept, so the returned real
     trajectory and the matching planned prefix always have equal length.
+    The third result holds the actions sent to ``spec.step``, one per executed
+    transition.
     """
     state = np.asarray(state, dtype=float)
     planned = np.asarray(planned, dtype=float)
@@ -139,42 +136,15 @@ def execute_plan(
         raise ValueError("planned trajectory must be (T>=2, state_dim)")
     if not np.array_equal(planned[0], state):
         raise ValueError("planned trajectory must start at the current state")
-    real = [state]
+    real, actions = [state], []
     for t in range(planned.shape[0] - 1):
-        action = spec.inverse_dynamics(real[-1], planned[t + 1])
-        nxt = spec.step(real[-1], action)
+        actions.append(spec.inverse_dynamics(real[-1], planned[t + 1]))
+        nxt = spec.step(real[-1], actions[-1])
         real.append(np.asarray(nxt, dtype=float))
         if np.linalg.norm(real[-1] - planned[t + 1]) > deviation_threshold:
             break
     executed = len(real)
-    return np.stack(real), planned[:executed].copy()
-
-
-def contrastive_update(
-    model: EnergyModel,
-    adam_state: AdamState,
-    real: np.ndarray,
-    prefix: np.ndarray,
-    rng: np.random.Generator,
-    buffers: tuple[ReplayBuffer, ReplayBuffer],
-    config: OnlineConfig,
-) -> tuple[EnergyModel, AdamState, float]:
-    """One contrastive Adam step on an executed trajectory; buffers grow in place.
-
-    Fresh executed pairs join the positive batch and fresh planned pairs the
-    negative batch, each padded with an equal number of replay samples (none
-    while a buffer is still empty).
-    """
-    b_pos, b_neg = buffers
-    fresh_pos = collate(real)
-    fresh_neg = collate(prefix)
-    pos_batch = b_pos.with_replay(fresh_pos, config.batch_size, rng)
-    neg_batch = b_neg.with_replay(fresh_neg, config.batch_size, rng)
-    loss, grads = contrastive_loss_and_grads(model, pos_batch, neg_batch)
-    net, new_adam = adam_step(model.net, grads, adam_state, config.adam)
-    b_pos.add(fresh_pos)
-    b_neg.add(fresh_neg)
-    return EnergyModel(net, model.state_dim), new_adam, loss
+    return np.stack(real), planned[:executed].copy(), np.stack(actions)
 
 
 @dataclass
@@ -201,22 +171,27 @@ def run_online(
     rng: np.random.Generator,
     model,
     propose: Callable,
-    learn: Callable,
+    fresh_rows: Callable,
+    train_step: Callable,
 ) -> OnlineResult:
     """Plan, execute and learn until the budget is spent; the loop of both model kinds.
 
     ``propose(model, state, rng)`` returns a planned state trajectory starting
     at ``state``; it is truncated at the episode or budget boundary, executed
     until reality deviates from it, scored by one ``spec.reward`` call, and cut
-    at the first goal hit. Then ``learn(model, adam_state, real, prefix, rng)``
-    returns the updated model, Adam state and loss. Episodes reset to the start
-    state after ``episode_length`` transitions or on reaching the goal; only
-    completed episodes enter the score series, and an episode's score sums, in
-    order, the reward of every state reached by a kept transition. A diverged
-    update (see ``check_update``) raises.
+    at the first goal hit. ``fresh_rows(real, prefix, actions)`` maps the kept
+    chunk to a tuple of row arrays, each padded by ``with_replay`` from its own
+    buffer; ``train_step(model, batch, config.adam, adam_state)`` takes the
+    padded tuple and returns the updated model, Adam state and loss, and then
+    the fresh arrays join their buffers. Episodes reset to the start state after
+    ``episode_length`` transitions or on reaching the goal; only completed
+    episodes enter the score series, and an episode's score sums, in order,
+    the reward of every state reached by a kept transition. A diverged update
+    (see ``check_update``) raises.
     """
     adam_state = init_adam_state(model.net)
     initial_norm = param_norm(model.net)
+    buffers: list[ReplayBuffer] = []
     state = spec.start_state.copy()
     steps_total = 0
     episode_idx = 0
@@ -231,15 +206,22 @@ def run_online(
             config.env_step_budget - steps_total, config.episode_length - episode_steps
         )
         planned = propose(model, state, rng)[: max_h + 1]
-        real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
+        real, prefix, actions = execute_plan(spec, state, planned, config.deviation_threshold)
         # one reward call per executed chunk; the episode ends exactly at the first goal hit
         rewards = spec.reward(real[1:], goal) if goal is not None else np.empty(0)
         hits = np.flatnonzero(rewards >= -config.goal_tolerance)
         reached = hits.size > 0
         if reached:
             end = hits[0] + 1
-            real, prefix, rewards = real[: end + 1], prefix[: end + 1], rewards[:end]
-        model, adam_state, loss = learn(model, adam_state, real, prefix, rng)
+            real, prefix, actions = real[: end + 1], prefix[: end + 1], actions[:end]
+            rewards = rewards[:end]
+        fresh = fresh_rows(real, prefix, actions)
+        buffers = buffers or [ReplayBuffer(config.buffer_capacity) for _ in fresh]
+        batch = tuple(buf.with_replay(rows, config.batch_size, rng)
+                      for buf, rows in zip(buffers, fresh))
+        model, adam_state, loss = train_step(model, batch, config.adam, adam_state)
+        for buf, rows in zip(buffers, fresh):
+            buf.add(rows)
         check_update(f"online update {len(metrics)}", loss, model.net, initial_norm)
         executed = real.shape[0] - 1
         episode_return += sum(rewards.tolist())
@@ -279,13 +261,13 @@ def online_train(
     Returns the trained model plus per-episode scores and per-update metrics.
     """
     model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
-    buffers = (ReplayBuffer(config.buffer_capacity), ReplayBuffer(config.buffer_capacity))
     target = plan_target(spec, goal, config.planner)
 
     def propose(model, state, rng):
         return plan(model, state, target, config.planner, rng)
 
-    def learn(model, adam_state, real, prefix, rng):
-        return contrastive_update(model, adam_state, real, prefix, rng, buffers, config)
+    def fresh_rows(real, prefix, actions):
+        return collate(real), collate(prefix)
 
-    return run_online(spec, goal, config, rng, model, propose, learn)
+    return run_online(spec, goal, config, rng, model, propose, fresh_rows,
+                      contrastive_train_step)

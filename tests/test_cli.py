@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 
 from ebmplan.cli import main
 from ebmplan.energy import make_energy_model
-from ebmplan.experiments import EXPERIMENT_KINDS, ExperimentConfig
+from ebmplan.experiments import EXPERIMENT_KINDS, KIND_KEYS, ExperimentConfig
 from ebmplan.nn import save_mlp
 from ebmplan.online import OnlineConfig
 from ebmplan.planner import SCORE_MODES, PlannerConfig
 
 TINY_PLANNER = {"num_samples": 8, "num_iterations": 2, "horizon": 6, "noise_scale": 0.01}
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "ebmplan" / "configs"
+# the run-length fields of the shipped configs, cut; online.env_step_budget too
+SHORT_RUN = {"dataset_size": 60, "pretrain_steps": 3, "episodes": 1, "episode_length": 3,
+             "trials": 2, "resolution": 8}
 
 
 def write_config(tmp_path, name, data):
@@ -104,6 +108,33 @@ def tiny_configs(tmp_path):
             "resolution": 6,
         },
     }
+
+
+def shipped_runs(seeds):
+    """(run name, config) for every shipped config cut to a short run on ``seeds``.
+
+    A heatmap renders one seed, so it runs once per seed. An action-FF eval of
+    the shortened action-FF pretraining follows ``eval_particle``. Runs that
+    load a checkpoint come last: run them all from one working directory.
+    """
+    runs = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        config = json.loads(path.read_text())
+        config.update({key: value for key, value in SHORT_RUN.items() if key in config})
+        if "online" in config:
+            config["online"] = {**config["online"], "env_step_budget": 10}
+        if config["kind"] == "heatmap":
+            runs += [(f"{path.stem}-seed{seed}",
+                      {**config, "seeds": [seed], "out_dir": f"{config['out_dir']}-seed{seed}"})
+                     for seed in seeds]
+            continue
+        runs.append((path.stem, {**config, "seeds": list(seeds)}))
+        if path.stem == "eval_particle":
+            checkpoint = "results/pretrain_particle_actionff/model_action-ff_seed0.npz"
+            runs.append((f"{path.stem}-actionff",
+                         {**runs[-1][1], "model": "action-ff", "model_checkpoint": checkpoint,
+                          "out_dir": f"{config['out_dir']}_actionff"}))
+    return sorted(runs, key=lambda run: "model_checkpoint" in run[1])
 
 
 def run_twice_and_compare(tmp_path, command, config):
@@ -243,9 +274,26 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
          "obstacle: experiment 'online' does not read it"),
         ({"pretrain_steps": 3000}, "pretrain_steps: experiment 'online' does not read it"),
         ({"explore_policy": "random"}, "explore_policy: experiment 'online' does not read it"),
+        # nor a key that the explore policy never reads
+        *[({"kind": "explore", "explore_policy": "random", **extra},
+           f"{key}: explore policy 'random' does not read it")
+          for key, extra in [
+              ("planner", {"planner": {"num_samples": 8}}),
+              ("hidden_sizes", {"hidden_sizes": [8]}),
+              ("learning_rate", {"learning_rate": 0.01}),
+              ("online.deviation_threshold", {"online": {"deviation_threshold": 0.1}}),
+              ("online.batch_size", {"online": {"batch_size": 8}}),
+              ("online.buffer_capacity", {"online": {"buffer_capacity": 100}}),
+              ("online.goal_tolerance", {"online": {"goal_tolerance": 0.05}}),
+          ]],
+        ({"kind": "explore", "planner": {**TINY_PLANNER, "score_mode": "prior-only"},
+          "online": {"env_step_budget": 4, "goal_tolerance": 0.05}},
+         "online.goal_tolerance: explore policy 'ebm-prior' does not read it"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
-        config = {"kind": "online", "goal": [0.0, 0.0], **extra}
+        config = {"kind": "online", **extra}
+        if "goal" in KIND_KEYS[config["kind"]]:
+            config.setdefault("goal", [0.0, 0.0])
         cfg_path = write_config(tmp_path, f"bad{i}.json", config)
         out = tmp_path / f"out{i}"
         assert main([config["kind"], "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
@@ -253,6 +301,16 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1 and word in err, err
         # rejected while loading, before any output is written
         assert not out.exists()
+
+
+def test_every_shipped_config_runs_shortened(tmp_path, monkeypatch):
+    # one working directory, so eval_particle.json loads the checkpoint that the
+    # shortened pretrain_particle_ebm.json writes under its own out_dir
+    monkeypatch.chdir(tmp_path)
+    for name, config in shipped_runs([0]):
+        cfg_path = write_config(tmp_path, f"{name}.json", config)
+        assert main([config["kind"], "--config", cfg_path, "--quiet"]) == 0, name
+        assert any(p.suffix == ".csv" for p in Path(config["out_dir"]).iterdir()), name
 
 
 def test_seed_override_is_checked_at_load(tmp_path, capsys):

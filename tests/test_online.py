@@ -1,16 +1,23 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
 import pytest
 
+from ebmplan import online
 from ebmplan.baselines import online_train_action_ff
-from ebmplan.energy import make_energy_model, transition_energies
-from ebmplan.envs import particle_env
-from ebmplan.nn import init_adam_state
+from ebmplan.energy import (
+    collate,
+    contrastive_loss_and_grads,
+    contrastive_train_step,
+    make_energy_model,
+    transition_energies,
+)
+from ebmplan.envs import maze_env, particle_env, reacher_env
+from ebmplan.nn import AdamHyper, adam_step, init_adam_state
 from ebmplan.online import (
     OnlineConfig,
     ReplayBuffer,
-    contrastive_update,
     execute_plan,
     online_train,
     run_online,
@@ -36,7 +43,7 @@ def test_execute_plan_feasible_plan_runs_to_full_horizon():
     start = spec.start_state
     steps = np.tile(np.array([0.03, 0.0]), (5, 1))
     planned = np.concatenate([start[None], start[None] + np.cumsum(steps, axis=0)])
-    real, prefix = execute_plan(spec, start, planned, 0.1)
+    real, prefix, _ = execute_plan(spec, start, planned, 0.1)
     assert real.shape == planned.shape
     assert np.allclose(real, planned, atol=1e-12)
     assert np.array_equal(prefix, planned)
@@ -45,7 +52,7 @@ def test_execute_plan_feasible_plan_runs_to_full_horizon():
 def test_execute_plan_stops_after_first_deviation():
     spec = particle_env(start=(0.0, 0.0))
     planned = np.array([[0.0, 0.0], [0.5, 0.0], [0.6, 0.0]])
-    real, prefix = execute_plan(spec, np.zeros(2), planned, 0.1)
+    real, prefix, _ = execute_plan(spec, np.zeros(2), planned, 0.1)
     assert real.shape == (2, 2)
     assert prefix.shape == (2, 2)
     assert np.allclose(real[1], [0.05, 0.0], rtol=1e-15)  # hop capped by the env
@@ -55,7 +62,7 @@ def test_execute_plan_stops_after_first_deviation():
 def test_execute_plan_infinite_threshold_runs_everything():
     spec = particle_env(start=(0.0, 0.0))
     planned = np.array([[0.0, 0.0], [0.5, 0.0], [0.9, 0.3], [0.2, -0.4]])
-    real, prefix = execute_plan(spec, np.zeros(2), planned, np.inf)
+    real, prefix, _ = execute_plan(spec, np.zeros(2), planned, np.inf)
     assert real.shape == planned.shape
     assert np.array_equal(prefix, planned)
 
@@ -118,31 +125,54 @@ def test_replay_buffer_with_replay_appends_draws_to_fresh_rows():
         assert np.array_equal(mixed[3:], buf.sample(expected_draws, np.random.default_rng(1)))
 
 
-def plan_execute_update(spec, model, goal, buffers, config, rng):
-    """One online iteration from the start state: plan, execute, contrastive update."""
+def plan_execute_update(spec, model, goal, config, rng):
+    """One online step from the start state: plan, execute, contrastive step on fresh pairs."""
     state = spec.start_state
     planned = plan(model, state, goal, config.planner, rng)
-    real, prefix = execute_plan(spec, state, planned, config.deviation_threshold)
-    new_model, _, loss = contrastive_update(
-        model, init_adam_state(model.net), real, prefix, rng, buffers, config
+    real, prefix, _ = execute_plan(spec, state, planned, config.deviation_threshold)
+    new_model, _, loss = contrastive_train_step(
+        model, (collate(real), collate(prefix)), config.adam, init_adam_state(model.net)
     )
     return new_model, real, prefix, loss
 
 
 def test_online_train_step_grows_buffers_by_fresh_pairs():
+    # run_online pads each fresh array with as many rows drawn from its own
+    # buffer, and the buffer holds exactly the fresh rows of earlier updates
     spec = particle_env()
     config = tiny_config()
     rng = np.random.default_rng(3)
     model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
-    buffers = (ReplayBuffer(64), ReplayBuffer(64))
-    _, real, prefix, loss = plan_execute_update(
-        spec, model, np.array([0.2, 0.2]), buffers, config, rng
-    )
-    executed = real.shape[0] - 1
-    assert prefix.shape == real.shape
-    assert len(buffers[0]) == executed
-    assert len(buffers[1]) == executed
-    assert np.isfinite(loss)
+    goal = np.array([0.2, 0.2])
+    fresh, batches, losses = [], [], []
+
+    def propose(model, state, rng):
+        return plan(model, state, goal, config.planner, rng)
+
+    def fresh_rows(real, prefix, actions):
+        assert prefix.shape == real.shape
+        fresh.append((collate(real), collate(prefix)))
+        return fresh[-1]
+
+    def train_step(model, batch, hyper, adam_state):
+        batches.append(batch)
+        model, adam_state, loss = contrastive_train_step(model, batch, hyper, adam_state)
+        losses.append(loss)
+        return model, adam_state, loss
+
+    result = run_online(spec, goal, config, rng, model, propose, fresh_rows, train_step)
+    assert [len(pos) for pos, _ in fresh] == [row.executed for row in result.metrics]
+    assert len(batches) >= 2
+    for k, batch in enumerate(batches):
+        for j in (0, 1):
+            rows = fresh[k][j]
+            assert np.array_equal(batch[j][: len(rows)], rows)
+            replay = batch[j][len(rows) :]
+            assert len(replay) == (len(rows) if k else 0)
+            if k:
+                stored = np.concatenate([f[j] for f in fresh[:k]])
+                assert all((stored == row).all(axis=1).any() for row in replay)
+    assert np.isfinite(losses).all()
 
 
 def test_online_train_step_deterministic():
@@ -152,8 +182,7 @@ def test_online_train_step_deterministic():
     def run():
         rng = np.random.default_rng(11)
         model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
-        buffers = (ReplayBuffer(64), ReplayBuffer(64))
-        return plan_execute_update(spec, model, np.array([0.1, 0.3]), buffers, config, rng)
+        return plan_execute_update(spec, model, np.array([0.1, 0.3]), config, rng)
 
     (model_a, real_a, _, loss_a), (model_b, real_b, _, loss_b) = run(), run()
     assert loss_a == loss_b
@@ -174,20 +203,34 @@ def test_online_train_step_near_perfect_planning_cancels():
     )
     rng = np.random.default_rng(5)
     model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
-    buffers = (ReplayBuffer(64), ReplayBuffer(64))
-    new_model, real, prefix, loss = plan_execute_update(spec, model, None, buffers, config, rng)
+    new_model, real, prefix, loss = plan_execute_update(spec, model, None, config, rng)
     assert np.allclose(real, prefix, atol=1e-8)
-    energies = transition_energies(new_model, buffers[0].as_array())
-    expected = float(np.mean(2.0 * transition_energies(model, buffers[0].as_array()) ** 2))
+    positives = collate(real)
+    energies = transition_energies(new_model, positives)
+    expected = float(np.mean(2.0 * transition_energies(model, positives) ** 2))
     assert abs(loss - expected) < 1e-6
     assert energies.shape[0] == real.shape[0] - 1
     # the contrastive gap on fresh pairs stays at zero under perfect planning
-    from ebmplan.energy import collate
-
     gap = transition_energies(model, collate(real)).mean() - transition_energies(
         model, collate(prefix)
     ).mean()
     assert abs(gap) < 1e-7
+
+
+def test_contrastive_train_step_is_loss_grads_then_adam():
+    rng = np.random.default_rng(8)
+    model = make_energy_model(2, rng, (8, 8))
+    batch = (rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
+    hyper, state = AdamHyper(learning_rate=0.01), init_adam_state(model.net)
+    new_model, new_state, loss = contrastive_train_step(model, batch, hyper, state)
+    want_loss, grads = contrastive_loss_and_grads(model, *batch)
+    want_net, want_state = adam_step(model.net, grads, state, hyper)
+    assert loss == want_loss
+    assert np.array_equal(new_model.net.flat, want_net.flat)
+    assert np.array_equal(new_state.first.flat, want_state.first.flat)
+    assert np.array_equal(new_state.second.flat, want_state.second.flat)
+    assert new_state.step_count == want_state.step_count == 1
+    assert new_model.state_dim == model.state_dim
 
 
 def test_online_train_zero_budget_returns_empty_series():
@@ -251,12 +294,17 @@ def test_run_online_ends_the_episode_at_the_first_goal_hit():
         starts.append(state.copy())
         return state + np.arange(6)[:, None] * np.array([0.03, 0.0])
 
-    def learn(model, adam_state, real, prefix, rng):
-        lengths.append((real.shape[0], prefix.shape[0]))
+    def fresh_rows(real, prefix, actions):
+        lengths.append((real.shape[0], prefix.shape[0], actions.shape[0]))
+        return (collate(real),)
+
+    def train_step(model, batch, hyper, adam_state):
         return model, adam_state, 0.0
 
-    result = run_online(spec, goal, config, np.random.default_rng(0), model, propose, learn)
-    assert lengths == [(4, 4), (4, 4)]
+    result = run_online(spec, goal, config, np.random.default_rng(0), model, propose,
+                        fresh_rows, train_step)
+    # the cut keeps one action per kept transition
+    assert lengths == [(4, 4, 3), (4, 4, 3)]
     assert [row.executed for row in result.metrics] == [3, 3]
     assert [row.episode for row in result.metrics] == [0, 1]
     assert np.array_equal(starts[1], spec.start_state)
@@ -276,11 +324,16 @@ def test_run_online_cuts_a_chunk_with_two_goal_hits_at_the_first():
     def propose(model, state, rng):
         return state + np.arange(6)[:, None] * np.array([0.03, 0.0])
 
-    def learn(model, adam_state, real, prefix, rng):
+    def fresh_rows(real, prefix, actions):
         chunks.append(real.copy())
+        assert len(actions) == len(real) - 1 and len(prefix) == len(real)
+        return (collate(real),)
+
+    def train_step(model, batch, hyper, adam_state):
         return model, adam_state, 0.0
 
-    result = run_online(spec, goal, config, np.random.default_rng(0), model, propose, learn)
+    result = run_online(spec, goal, config, np.random.default_rng(0), model, propose,
+                        fresh_rows, train_step)
     assert [len(chunk) for chunk in chunks] == [4, 3]
     kept = [float(spec.reward(s, goal)) for s in chunks[0][1:]]
     assert [r >= -config.goal_tolerance for r in kept] == [False, False, True]
@@ -294,3 +347,71 @@ def test_online_config_validation():
         tiny_config(episode_length=0)
     with pytest.raises(ValueError):
         tiny_config(batch_size=0)
+
+
+def spied(spec):
+    """``spec`` with a ``step`` that records a copy of every action it receives."""
+    sent = []
+
+    def step(state, action):
+        sent.append(np.array(action, copy=True))
+        return spec.step(state, action)
+
+    return dataclasses.replace(spec, step=step), sent
+
+
+def test_execute_plan_returns_the_actions_sent_to_step():
+    rng = np.random.default_rng(4)
+    reacher = reacher_env()
+    cases = [
+        # a feasible step, then hops the env caps
+        (particle_env(start=(0.0, 0.0)),
+         np.array([[0.0, 0.0], [0.03, 0.0], [0.5, 0.0], [0.6, 0.1]])),
+        # the second and third moves end inside the middle wall and are rejected
+        (maze_env(start=(0.0, -0.12)),
+         np.array([[0.0, -0.12], [0.0, -0.08], [0.0, -0.04], [0.0, 0.0], [0.03, -0.1]])),
+        (reacher, reacher.start_state + np.concatenate(
+            [np.zeros((1, 4)), rng.normal(scale=0.2, size=(5, 4))])),
+    ]
+    for spec, planned in cases:
+        spy, sent = spied(spec)
+        real, prefix, actions = execute_plan(spy, spec.start_state, planned, np.inf)
+        assert actions.shape == (len(real) - 1, spec.action_dim)
+        assert actions.tobytes() == np.stack(sent).tobytes(), spec.kind
+        assert real.shape == prefix.shape == planned.shape
+        if spec.kind == "maze":
+            blocked = (real[1:] == real[:-1]).all(axis=1)
+            assert blocked.tolist() == [False, True, True, False]
+
+
+def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
+    # each (s, a, s') row stored for the forward model holds the clipped command
+    # that execute_plan sent from s, and s' is that command's outcome. The
+    # reacher's clip is idempotent, so there a is admissible and steps from s to
+    # s' exactly. clip_to_ball is not: a clipped row can lie 1 ulp outside the
+    # step ball, so on the particle map both hold to 1e-15 only.
+    buffers = []
+
+    class RecordedBuffer(ReplayBuffer):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            buffers.append(self)
+
+    monkeypatch.setattr(online, "ReplayBuffer", RecordedBuffer)
+    config = tiny_config(env_step_budget=25, buffer_capacity=64)
+    cases = ((particle_env(), np.array([-0.3, -0.2]), 1e-15),
+             (reacher_env(), np.array([0.4, -0.3, 0.0, 0.0]), 0.0))
+    for spec, goal, atol in cases:
+        buffers.clear()
+        spy, sent = spied(spec)
+        online_train_action_ff(spy, goal, config, np.random.default_rng(7))
+        (buffer,) = buffers
+        rows = buffer.as_array()
+        assert len(rows) == len(sent) == config.env_step_budget
+        d = spec.state_dim
+        states, actions, nexts = rows[:, :d], rows[:, d:-d], rows[:, -d:]
+        assert np.array_equal(actions, spec.clip_action(np.stack(sent)))
+        for s, a, sent_a, s_next in zip(states, actions, sent, nexts):
+            assert np.array_equal(spec.step(s, sent_a), s_next), spec.kind
+            assert np.allclose(spec.clip_action(a), a, rtol=0.0, atol=atol), spec.kind
+            assert np.allclose(spec.step(s, a), s_next, rtol=0.0, atol=atol), spec.kind
