@@ -47,7 +47,6 @@ from .experiments import (
     run_explore,
 )
 from .nn import (
-    AdamHyper,
     AdamState,
     MlpParams,
     adam_step,

@@ -14,13 +14,14 @@ import ctypes
 
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_THRESHOLD_BYTES = 1 << 30
 
 
-def tune_malloc(threshold_bytes: int = 1 << 30) -> bool:
+def tune_malloc() -> bool:
     try:
         libc = ctypes.CDLL("libc.so.6")
-        ok = libc.mallopt(_M_TRIM_THRESHOLD, threshold_bytes)
-        ok &= libc.mallopt(_M_MMAP_THRESHOLD, threshold_bytes)
+        ok = libc.mallopt(_M_TRIM_THRESHOLD, _THRESHOLD_BYTES)
+        ok &= libc.mallopt(_M_MMAP_THRESHOLD, _THRESHOLD_BYTES)
         return bool(ok)
     except (OSError, AttributeError):
         return False

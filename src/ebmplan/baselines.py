@@ -17,7 +17,6 @@ import numpy as np
 
 from .envs import EnvSpec
 from .nn import (
-    AdamHyper,
     AdamState,
     MlpParams,
     adam_step,
@@ -88,14 +87,19 @@ def ff_mse_loss_and_grads(model: ActionFFModel, states, actions, next_states):
 
 def ff_train_step(
     model: ActionFFModel,
-    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
-    hyper: AdamHyper,
+    batch: tuple[np.ndarray],
+    learning_rate: float,
     adam_state: AdamState,
 ) -> tuple[ActionFFModel, AdamState, float]:
-    """One Adam step on the mean squared next-state prediction error."""
-    states, actions, next_states = batch
+    """One Adam step on the mean squared next-state prediction error.
+
+    ``batch`` holds one array of packed ``(s, a, s')`` rows.
+    """
+    (rows,) = batch
+    s_dim, a_dim = model.state_dim, model.action_dim
+    states, actions, next_states = np.split(rows, [s_dim, s_dim + a_dim], axis=1)
     loss, grads = ff_mse_loss_and_grads(model, states, actions, next_states)
-    net, new_state = adam_step(model.net, grads, adam_state, hyper)
+    net, new_state = adam_step(model.net, grads, adam_state, learning_rate)
     return ActionFFModel(net, model.state_dim, model.action_dim), new_state, loss
 
 
@@ -115,7 +119,7 @@ def ff_plan(
     goal: np.ndarray,
     config: PlannerConfig,
     rng: np.random.Generator,
-    action_clip: Callable[[np.ndarray], np.ndarray] | None = None,
+    action_clip: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Plan a (horizon-1, action_dim) action sequence by MPPI in action space.
 
@@ -140,8 +144,6 @@ def ff_plan(
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
     if goal.shape != (model.state_dim,):
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
-    if action_clip is None:
-        action_clip = lambda a: a
     scorer = model.net.astype(np.float32)
     s_dim = model.state_dim
     packed = np.empty((config.num_samples, s_dim + model.action_dim), dtype=np.float32)
@@ -201,8 +203,4 @@ def online_train_action_ff(
     def fresh_rows(real, prefix, actions):
         return (np.concatenate([real[:-1], spec.clip_action(actions), real[1:]], axis=1),)
 
-    def train_step(model, batch, hyper, adam_state):
-        split = np.split(batch[0], [spec.state_dim, spec.state_dim + spec.action_dim], axis=1)
-        return ff_train_step(model, split, hyper, adam_state)
-
-    return run_online(spec, goal, config, rng, model, propose, fresh_rows, train_step)
+    return run_online(spec, goal, config, rng, model, propose, fresh_rows, ff_train_step)

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .nn import (
-    AdamHyper,
     AdamState,
     MlpParams,
     adam_step,
@@ -133,6 +132,7 @@ def goal_scores(
     return trajectory_energies(model, trajs) + goal_weight * penalty
 
 
+# no planner score mode uses it; it stays because the benchmark's tracer wraps it by name
 def fixed_goal_scores(model: EnergyModel, trajs: np.ndarray, goal: np.ndarray) -> np.ndarray:
     """Trajectory energy where the goal enters as one more transition pair."""
     goal = _check_goal(model, goal)
@@ -190,13 +190,13 @@ def contrastive_loss_and_grads(
 def contrastive_train_step(
     model: EnergyModel,
     batch: tuple[np.ndarray, np.ndarray],
-    hyper: AdamHyper,
+    learning_rate: float,
     adam_state: AdamState,
 ) -> tuple[EnergyModel, AdamState, float]:
     """One Adam step on the contrastive loss of a (positives, negatives) batch."""
     positives, negatives = batch
     loss, grads = contrastive_loss_and_grads(model, positives, negatives)
-    net, new_state = adam_step(model.net, grads, adam_state, hyper)
+    net, new_state = adam_step(model.net, grads, adam_state, learning_rate)
     return EnergyModel(net, model.state_dim), new_state, loss
 
 
@@ -209,21 +209,24 @@ def softmin_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+# the negative sampler's perturbations per seed row and its iterations
+NEGATIVE_SAMPLES = 16
+NEGATIVE_ITERS = 5
+
+
 def sample_negative_pairs(
     model: EnergyModel,
     seed_pairs: np.ndarray,
     rng: np.random.Generator,
     scale: float,
-    num_samples: int = 16,
-    num_iters: int = 5,
-    temperature: float = 1.0,
 ) -> np.ndarray:
     """Draw low-energy pairs from the model by iterated perturb-and-reweight.
 
-    Each seed row is refined independently: perturb it with isotropic
-    Gaussian noise of standard deviation ``scale``, weight the perturbations
-    by exponentiated negative energy, and move to the weighted average. Used
-    to generate negatives when training on a static dataset, where no planned
+    Each seed row is refined independently, for ``NEGATIVE_ITERS`` iterations:
+    perturb it with ``NEGATIVE_SAMPLES`` isotropic Gaussian draws of standard
+    deviation ``scale``, weight the perturbations by exponentiated negative
+    energy (temperature 1), and move to the weighted average. Used to generate
+    negatives when training on a static dataset, where no planned
     trajectories exist. Candidates are scored by a float32 copy of the net;
     the caller's model is left untouched and the refinement runs in float64.
     """
@@ -234,10 +237,10 @@ def sample_negative_pairs(
     scorer = EnergyModel(model.net.astype(np.float32), model.state_dim)
     current = seeds.copy()
     # one draw for every iteration: the same numbers as one draw per iteration
-    noises = rng.normal(0.0, scale, size=(num_iters, b, num_samples, width))
+    noises = rng.normal(0.0, scale, size=(NEGATIVE_ITERS, b, NEGATIVE_SAMPLES, width))
     for noise in noises:
         candidates = current[:, None, :] + noise
-        energies = transition_energies(scorer, candidates.reshape(b * num_samples, width))
-        weights = softmin_weights(energies.reshape(b, num_samples), temperature)
+        energies = transition_energies(scorer, candidates.reshape(b * NEGATIVE_SAMPLES, width))
+        weights = softmin_weights(energies.reshape(b, NEGATIVE_SAMPLES))
         current = np.einsum("bn,bnw->bw", weights, candidates)
     return current

@@ -37,7 +37,7 @@ from .energy import (
     transition_energies,
 )
 from .envs import ENV_FACTORIES, MAP_HIGH, MAP_LOW, EnvSpec, MazeLayout, make_env, occupancy_cells
-from .nn import AdamHyper, check_update, init_adam_state, load_mlp, param_norm, save_mlp
+from .nn import check_update, init_adam_state, load_mlp, param_norm, save_mlp
 from .online import OnlineConfig, online_train
 from .planner import PlannerConfig, plan, plan_target
 from .svg import write_heatmap_svg
@@ -137,7 +137,7 @@ def pretrain(
     steps: int,
     rng: np.random.Generator,
     hidden_sizes: tuple[int, ...],
-    adam: AdamHyper,
+    learning_rate: float,
     batch_size: int,
     repeat_factor: int,
     negative_scale: float,
@@ -167,11 +167,12 @@ def pretrain(
             return positives, sample_negative_pairs(model, positives, rng, scale=negative_scale)
 
     elif model_kind == "action-ff":
+        rows = np.concatenate([states, actions, next_states], axis=1)
         model = make_action_ff(states.shape[1], actions.shape[1], rng, hidden_sizes)
         train_step = ff_train_step
 
         def batch_of(model, idx):
-            return states[idx], actions[idx], next_states[idx]
+            return (rows[idx],)
 
     else:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -184,7 +185,7 @@ def pretrain(
             idx = rng.integers(0, n, size=batch_size)
         else:
             idx = np.array([(step // repeat_factor) % n])
-        model, adam_state, loss = train_step(model, batch_of(model, idx), adam, adam_state)
+        model, adam_state, loss = train_step(model, batch_of(model, idx), learning_rate, adam_state)
         check_update(f"pretrain step {step}", loss, model.net, initial_norm)
         if step % 100 == 0 or step == steps - 1:
             losses.append((step, loss))
@@ -346,8 +347,8 @@ def _build(cls: type, data: dict, prefix: str = ""):
     Field types in use: scalars, ``X | None``, ``list[X]``, ``tuple[X, ...]``,
     fixed-length ``tuple[X, X]``, ``dict``, and dataclass sections, which must
     be JSON objects (or instances) and are built recursively. A list becomes
-    a tuple wherever the field is a tuple. Unknown keys at any depth are
-    rejected by dotted path.
+    a tuple wherever the field is a tuple. Unknown keys at any depth, and
+    values that a section's own checks reject, are named by dotted path.
     """
     hints = get_type_hints(cls)
     unknown = sorted(prefix + key for key in set(data) - set(hints))
@@ -383,7 +384,7 @@ def _build(cls: type, data: dict, prefix: str = ""):
             raise ValueError(f"{prefix}{key}: expected {expected}, got {got}")
     try:
         return cls(**values)
-    except TypeError as exc:  # a required field left out
+    except (TypeError, ValueError) as exc:  # a required field left out, or a limit broken
         raise ValueError(f"{prefix}{exc}") from None
 
 
@@ -440,9 +441,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown model kind {self.model!r}")
         if self.kind in ("explore", "diversity", "heatmap") and self.model != "ebm":
             raise ValueError(f"experiment {self.kind!r} needs model 'ebm', an energy network")
-        for name in ("pretrain_steps", "dataset_reset_every", "repeat_factor", "episodes"):
+        for name in ("pretrain_steps", "dataset_size", "dataset_reset_every", "pretrain_batch",
+                     "repeat_factor", "episodes", "episode_length", "resolution"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "ff_learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.negative_scale < 0:
+            raise ValueError("negative_scale must be non-negative")
+        if self.trials < 2:
+            raise ValueError("trials must be >= 2")
         if min(self.hidden_sizes, default=1) < 1:
             raise ValueError("hidden_sizes must all be >= 1")
         online = self.online_config()
@@ -494,7 +503,7 @@ class ExperimentConfig:
         ``learning_rate`` of the top level, the one place that sets them. The
         top-level ``episode_length`` stays out: the section sets its own."""
         top = {"planner": self.planner, "hidden_sizes": self.hidden_sizes,
-               "adam": AdamHyper(learning_rate=self.learning_rate)}
+               "learning_rate": self.learning_rate}
         for key in top:
             if key in self.online:
                 raise ValueError(f"online.{key}: set by the top level of the config")
@@ -595,7 +604,7 @@ def _pretrain(config: ExperimentConfig, model_kind: str, mode: str, dataset, rng
     return pretrain(
         model_kind, dataset, mode, config.pretrain_steps, rng,
         hidden_sizes=config.hidden_sizes,
-        adam=AdamHyper(learning_rate=learning_rate),
+        learning_rate=learning_rate,
         batch_size=config.pretrain_batch,
         repeat_factor=config.repeat_factor,
         negative_scale=config.negative_scale,

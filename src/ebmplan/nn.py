@@ -30,6 +30,10 @@ import numpy as np
 from ._io import write_atomic
 
 ACTIVATIONS = ("tanh", "identity")
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -112,20 +116,6 @@ class AdamState:
     first: MlpParams
     second: MlpParams
     step_count: int = 0
-
-
-@dataclass(frozen=True)
-class AdamHyper:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (self.learning_rate > 0 and self.epsilon > 0):
-            raise ValueError("learning_rate and epsilon must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
 
 def mlp_init(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
@@ -225,22 +215,24 @@ def backward(
 
 
 def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, hyper: AdamHyper
+    params: MlpParams, grads: MlpParams, state: AdamState, learning_rate: float
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update (Kingma & Ba, 2015) of every parameter at
     once, as one update of ``flat``; returns new parameters and state."""
+    if not learning_rate > 0:
+        raise ValueError("learning_rate must be positive")
     if state.step_count < 0:
         raise ValueError("step_count must be non-negative")
     if grads.shapes != params.shapes:
         raise ValueError(f"gradient shapes {grads.shapes} != parameter shapes {params.shapes}")
     t = state.step_count + 1
-    b1, b2 = hyper.beta1, hyper.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     g = grads.flat
     m = b1 * state.first.flat + (1 - b1) * g
     v = b2 * state.second.flat + (1 - b2) * g * g
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
-    flat = params.flat - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon)
+    flat = params.flat - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return params.like(flat), AdamState(params.like(m), params.like(v), t)
 
 

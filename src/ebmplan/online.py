@@ -21,7 +21,7 @@ import numpy as np
 
 from .energy import collate, contrastive_train_step, make_energy_model
 from .envs import EnvSpec, occupancy_cells
-from .nn import AdamHyper, check_update, init_adam_state, param_norm
+from .nn import check_update, init_adam_state, param_norm
 from .planner import PlannerConfig, plan, plan_target
 
 
@@ -87,7 +87,7 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Online loop settings; a config's top level sets the planner, net and Adam."""
+    """Online loop settings; a config's top level sets the planner, net and learning rate."""
 
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     deviation_threshold: float = 0.1
@@ -97,7 +97,7 @@ class OnlineConfig:
     episode_length: int = 50
     goal_tolerance: float = 0.05
     hidden_sizes: tuple[int, ...] = (64, 64)
-    adam: AdamHyper = field(default_factory=AdamHyper)
+    learning_rate: float = 1e-3
     occupancy_cell: float = 0.1
 
     def __post_init__(self) -> None:
@@ -115,6 +115,8 @@ class OnlineConfig:
             raise ValueError("buffer_capacity must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 when given")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
 
 
 def execute_plan(
@@ -181,7 +183,7 @@ def run_online(
     until reality deviates from it, scored by one ``spec.reward`` call, and cut
     at the first goal hit. ``fresh_rows(real, prefix, actions)`` maps the kept
     chunk to a tuple of row arrays, each padded by ``with_replay`` from its own
-    buffer; ``train_step(model, batch, config.adam, adam_state)`` takes the
+    buffer; ``train_step(model, batch, config.learning_rate, adam_state)`` takes the
     padded tuple and returns the updated model, Adam state and loss, and then
     the fresh arrays join their buffers. Episodes reset to the start state after
     ``episode_length`` transitions or on reaching the goal; only completed
@@ -219,7 +221,7 @@ def run_online(
         buffers = buffers or [ReplayBuffer(config.buffer_capacity) for _ in fresh]
         batch = tuple(buf.with_replay(rows, config.batch_size, rng)
                       for buf, rows in zip(buffers, fresh))
-        model, adam_state, loss = train_step(model, batch, config.adam, adam_state)
+        model, adam_state, loss = train_step(model, batch, config.learning_rate, adam_state)
         for buf, rows in zip(buffers, fresh):
             buf.add(rows)
         check_update(f"online update {len(metrics)}", loss, model.net, initial_norm)

@@ -22,17 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import (
-    EnergyModel,
-    fixed_goal_scores,
-    goal_scores,
-    reward_scores,
-    softmin_weights,
-    trajectory_energies,
-)
+from .energy import EnergyModel, goal_scores, reward_scores, softmin_weights, trajectory_energies
 from .envs import EnvSpec
 
-SCORE_MODES = ("gaussian-goal", "fixed-goal", "reward", "prior-only")
+SCORE_MODES = ("gaussian-goal", "reward", "prior-only")
 
 
 @dataclass(frozen=True)
@@ -218,8 +211,6 @@ def _scorer(
     goal = np.asarray(target, dtype=float)
     if goal.shape != (model.state_dim,):
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
-    if config.score_mode == "fixed-goal":
-        return lambda samples: fixed_goal_scores(model, samples, goal)
     return lambda samples: goal_scores(model, samples, goal, config.goal_weight)
 
 

@@ -20,6 +20,7 @@ _PALETTE = (
     (94, 201, 98),
     (253, 231, 37),
 )
+_CELL_PX = 10  # side of one matrix cell in the drawing
 
 
 def _color(value: float) -> str:
@@ -32,7 +33,7 @@ def _color(value: float) -> str:
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
-def write_heatmap_svg(matrix: np.ndarray, path: str | Path, cell_px: int = 10) -> None:
+def write_heatmap_svg(matrix: np.ndarray, path: str | Path) -> None:
     """Render a matrix as a colored cell grid, low values dark, high bright.
 
     Row 0 is drawn at the bottom so matrices indexed as (y, x) keep their
@@ -45,16 +46,16 @@ def write_heatmap_svg(matrix: np.ndarray, path: str | Path, cell_px: int = 10) -
     lo, hi = float(matrix.min()), float(matrix.max())
     span = hi - lo if hi > lo else 1.0
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * cell_px}" '
-        f'height="{rows * cell_px}" shape-rendering="crispEdges">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * _CELL_PX}" '
+        f'height="{rows * _CELL_PX}" shape-rendering="crispEdges">'
     ]
     for r in range(rows):
-        y = (rows - 1 - r) * cell_px
+        y = (rows - 1 - r) * _CELL_PX
         for c in range(cols):
             color = _color((matrix[r, c] - lo) / span)
             parts.append(
-                f'<rect x="{c * cell_px}" y="{y}" width="{cell_px}" '
-                f'height="{cell_px}" fill="{color}"/>'
+                f'<rect x="{c * _CELL_PX}" y="{y}" width="{_CELL_PX}" '
+                f'height="{_CELL_PX}" fill="{color}"/>'
             )
     parts.append("</svg>")
     write_atomic(path, ("\n".join(parts) + "\n").encode())

@@ -12,9 +12,14 @@ from ebmplan.baselines import (
     random_policy,
 )
 from ebmplan.envs import make_env, particle_env
-from ebmplan.nn import AdamHyper, MlpParams, adam_step, init_adam_state, mlp_forward
+from ebmplan.nn import MlpParams, adam_step, init_adam_state, mlp_forward
 from ebmplan.planner import PlannerConfig, mppi_refine
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
+
+
+def no_clip(actions):
+    # every action admissible: the planner's samples reach the model unchanged
+    return actions
 
 
 def exact_linear_particle_model():
@@ -63,7 +68,8 @@ def test_ff_train_step_exact_model_has_zero_loss_and_grads():
     assert loss == 0.0
     for g in grads.weights + grads.biases:
         assert np.array_equal(g, np.zeros_like(g))
-    new_model, _, _ = ff_train_step(model, batch, AdamHyper(), init_adam_state(model.net))
+    rows = np.concatenate(batch, axis=1)
+    new_model, _, _ = ff_train_step(model, (rows,), 1e-3, init_adam_state(model.net))
     assert np.array_equal(new_model.net.weights[0], model.net.weights[0])
 
 
@@ -96,12 +102,12 @@ def test_ff_fits_linear_1d_dynamics():
     s_next = s + a
     model = make_action_ff(1, 1, np.random.default_rng(7), (32, 32))
     adam = init_adam_state(model.net)
-    hyper = AdamHyper(learning_rate=3e-3)
+    rows = np.concatenate([s, a, s_next], axis=1)
     batch_rng = np.random.default_rng(8)
     loss = np.inf
     for _ in range(2000):
         idx = batch_rng.integers(0, 512, size=64)
-        model, adam, loss = ff_train_step(model, (s[idx], a[idx], s_next[idx]), hyper, adam)
+        model, adam, loss = ff_train_step(model, (rows[idx],), 3e-3, adam)
     final_loss, _ = ff_mse_loss_and_grads(model, s, a, s_next)
     assert final_loss < 1e-4
 
@@ -110,7 +116,9 @@ def test_ff_plan_zero_iterations_with_exact_model():
     model = exact_linear_particle_model()
     config = PlannerConfig(num_iterations=0, horizon=5, noise_scale=0.02)
     start = np.array([0.1, -0.1])
-    actions, predicted = ff_plan(model, start, np.zeros(2), config, np.random.default_rng(0))
+    actions, predicted = ff_plan(
+        model, start, np.zeros(2), config, np.random.default_rng(0), no_clip
+    )
     assert np.array_equal(actions, np.zeros((4, 2)))
     assert np.array_equal(predicted, np.tile(start, (5, 1)))
 
@@ -121,7 +129,7 @@ def test_ff_plan_single_sample_degenerate_weights():
         num_samples=1, num_iterations=3, horizon=4, noise_scale=0.02, temperature=0.5
     )
     actions, predicted = ff_plan(
-        model, np.zeros(2), np.array([0.3, 0.0]), config, np.random.default_rng(1)
+        model, np.zeros(2), np.array([0.3, 0.0]), config, np.random.default_rng(1), no_clip
     )
     assert actions.shape == (3, 2)
     assert predicted.shape == (4, 2)
@@ -156,7 +164,7 @@ def test_ff_plan_trajectory_is_rollout_of_actions():
             num_samples=16, num_iterations=4, horizon=horizon, noise_scale=0.05
         )
         actions, predicted = ff_plan(
-            model, np.array([0.2, 0.2]), np.zeros(2), config, np.random.default_rng(3)
+            model, np.array([0.2, 0.2]), np.zeros(2), config, np.random.default_rng(3), no_clip
         )
         assert actions.shape == (horizon - 1, 2)
         assert predicted.shape == (horizon, 2)
@@ -195,7 +203,7 @@ def test_ff_plan_leaves_model_unchanged():
     arrays = model.net.weights + model.net.biases
     snapshot = [a.copy() for a in arrays]
     config = PlannerConfig(num_samples=16, num_iterations=3, horizon=5, noise_scale=0.05)
-    ff_plan(model, np.zeros(2), np.array([0.3, 0.0]), config, np.random.default_rng(4))
+    ff_plan(model, np.zeros(2), np.array([0.3, 0.0]), config, np.random.default_rng(4), no_clip)
     assert all(a is b for a, b in zip(model.net.weights + model.net.biases, arrays))
     for a, before in zip(arrays, snapshot):
         assert a.dtype == np.float64
@@ -207,7 +215,7 @@ def test_ff_plan_raises_when_all_scores_non_finite():
     model.net.biases[-1][0] = np.nan
     config = PlannerConfig(num_samples=8, num_iterations=2, horizon=4)
     with pytest.raises(ValueError):
-        ff_plan(model, np.zeros(2), np.zeros(2), config, np.random.default_rng(1))
+        ff_plan(model, np.zeros(2), np.zeros(2), config, np.random.default_rng(1), no_clip)
 
 
 def test_random_policy_particle_stays_in_ball():

@@ -209,6 +209,7 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"online": {"adam": "fast"}}, "online.adam"),
         # the network, optimizer and planner are set at the top level only
         ({"online": {"adam": {"learning_rate": 0.001}}}, "online.adam"),
+        ({"online": {"learning_rate": 0.001}}, "online.learning_rate: set by the top level"),
         ({"env_options": 3}, "env_options"),
         ({"seeds": "0"}, "seeds"),
         ({"goal": "near"}, "goal"),
@@ -255,6 +256,25 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"learning_rate": 10**400}, "learning_rate"),
         ({"kind": "eval", "episodes": 0, "model_checkpoint": "model.npz"}, "episodes"),
         ({"kind": "comparison", "episodes": 0}, "episodes"),
+        # every limit a kind reads is checked at load, not after a run has done work
+        *[({"kind": "eval", "episode_length": n, "model_checkpoint": "model.npz"},
+           "episode_length must be >= 1") for n in (0, -3)],
+        *[({"kind": "comparison", "episode_length": n}, "episode_length must be >= 1")
+          for n in (0, -3)],
+        *[({"kind": "comparison", "ff_learning_rate": v}, "ff_learning_rate must be positive")
+          for v in (0.0, -0.003)],
+        ({"learning_rate": 0.0}, "error: learning_rate must be positive"),
+        # a section's own limits name the key by its dotted path
+        ({"online": {"episode_length": 0}}, "online.episode_length must be >= 1"),
+        ({"planner": {"num_samples": 0}}, "planner.num_samples must be >= 1"),
+        ({"kind": "pretrain", "dataset_size": 0}, "dataset_size must be >= 1"),
+        ({"kind": "comparison", "dataset_size": 0}, "dataset_size must be >= 1"),
+        ({"kind": "pretrain", "pretrain_batch": 0}, "pretrain_batch must be >= 1"),
+        ({"kind": "heatmap", "resolution": 0}, "resolution must be >= 1"),
+        ({"kind": "pretrain", "negative_scale": -0.1}, "negative_scale must be non-negative"),
+        ({"kind": "diversity", "trials": 1}, "trials must be >= 2"),
+        # no planner mode that nothing plans in
+        ({"planner": {"score_mode": "fixed-goal"}}, "planner.score_mode must be one of"),
         # kinds that read an energy network, given an action-FF checkpoint
         ({"kind": "heatmap", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
         ({"kind": "diversity", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),

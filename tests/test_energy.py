@@ -15,7 +15,7 @@ from ebmplan.energy import (
     trajectory_energies,
     transition_energies,
 )
-from ebmplan.nn import AdamHyper, adam_step, init_adam_state, mlp_forward
+from ebmplan.nn import adam_step, init_adam_state, mlp_forward
 from ebmplan.planner import mppi_weights
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
@@ -244,13 +244,12 @@ def test_contrastive_loss_decreases_over_small_steps():
     rng = np.random.default_rng(51)
     pos = rng.normal(size=(8, 4))
     neg = rng.normal(size=(8, 4)) + 2.0
-    hyper = AdamHyper(learning_rate=1e-4)
     adam = init_adam_state(model.net)
     losses = []
     for _ in range(11):
         loss, grads = contrastive_loss_and_grads(model, pos, neg)
         losses.append(loss)
-        net, adam = adam_step(model.net, grads, adam, hyper)
+        net, adam = adam_step(model.net, grads, adam, 1e-4)
         model = EnergyModel(net, model.state_dim)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -268,7 +267,7 @@ def test_one_step_reduces_positive_negative_gap():
 
     before = gap(model)
     _, grads = contrastive_loss_and_grads(model, pos, neg)
-    net, _ = adam_step(model.net, grads, init_adam_state(model.net), AdamHyper(1e-4))
+    net, _ = adam_step(model.net, grads, init_adam_state(model.net), 1e-4)
     assert gap(EnergyModel(net, 2)) < before
 
 
@@ -298,7 +297,7 @@ def test_sample_negative_pairs_moves_toward_lower_energy():
     model = seeded_model(80, hidden=(16, 16))
     rng = np.random.default_rng(81)
     seeds = rng.normal(size=(32, 4))
-    negatives = sample_negative_pairs(model, seeds, rng, num_samples=24, num_iters=8, scale=0.2)
+    negatives = sample_negative_pairs(model, seeds, rng, scale=0.2)
     assert negatives.shape == seeds.shape
     before = transition_energies(model, seeds).mean()
     after = transition_energies(model, negatives).mean()

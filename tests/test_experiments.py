@@ -20,12 +20,12 @@ from ebmplan.experiments import (
     run_policy_episode,
     write_csv,
 )
-from ebmplan.nn import AdamHyper, MlpParams
+from ebmplan.nn import MlpParams
 from ebmplan.online import OnlineConfig
 from ebmplan.planner import PlannerConfig
 
 # the values pretrain's settings defaulted to before every one became required
-PRETRAIN_SETTINGS = {"hidden_sizes": (64, 64), "adam": AdamHyper(), "batch_size": 64,
+PRETRAIN_SETTINGS = {"hidden_sizes": (64, 64), "learning_rate": 1e-3, "batch_size": 64,
                      "repeat_factor": 100, "negative_scale": 0.1}
 
 
@@ -82,7 +82,7 @@ def test_pretrain_action_ff_reaches_low_mse_on_particle():
     dataset = gen_random_dataset(spec, 2000, np.random.default_rng(4), reset_every=100)
     result = pretrain(
         "action-ff", dataset, "shuffled", 1500, np.random.default_rng(5),
-        hidden_sizes=(32, 32), adam=AdamHyper(learning_rate=3e-3), batch_size=64,
+        hidden_sizes=(32, 32), learning_rate=3e-3, batch_size=64,
         repeat_factor=100, negative_scale=0.1,
     )
     loss, _ = ff_mse_loss_and_grads(result.model, *dataset)
@@ -102,6 +102,7 @@ def test_pretrain_sequential_mode_walks_in_order():
     )
     rows = [0] * 5 + [1] * 5
     pairs = pack_pairs(states, next_states)
+    transitions = np.concatenate([states, actions, next_states], axis=1)
     for kind in ("ebm", "action-ff"):
         result = pretrain(kind, dataset, "sequential-repeated", 10, np.random.default_rng(8),
                           **{**PRETRAIN_SETTINGS, "hidden_sizes": (4,), "repeat_factor": 5})
@@ -117,11 +118,11 @@ def test_pretrain_sequential_mode_walks_in_order():
                 positives = pairs[[i]]
                 negatives = sample_negative_pairs(model, positives, rng, scale=0.1)
                 loss, grads = contrastive_loss_and_grads(model, positives, negatives)
-                net, adam_state = adam_step(model.net, grads, adam_state, AdamHyper())
+                net, adam_state = adam_step(model.net, grads, adam_state, 1e-3)
                 model = EnergyModel(net, 2)
             else:
-                batch = (states[[i]], actions[[i]], next_states[[i]])
-                model, adam_state, loss = ff_train_step(model, batch, AdamHyper(), adam_state)
+                batch = (transitions[[i]],)
+                model, adam_state, loss = ff_train_step(model, batch, 1e-3, adam_state)
             losses.append(loss)
         assert result.losses == [(0, losses[0]), (9, losses[9])]
         got = result.model.net
@@ -262,9 +263,21 @@ def test_experiment_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0], "seeds": [0, -1]})
     with pytest.raises(ValueError, match="kind"):
         ExperimentConfig.from_dict({})
-    with pytest.raises(ValueError, match="online.adam: set by the top level"):
-        ExperimentConfig.from_dict({"kind": "explore", "online": {"adam": {"bogus": 1}}})
+    with pytest.raises(ValueError, match="online.learning_rate: set by the top level"):
+        ExperimentConfig.from_dict({"kind": "explore", "online": {"learning_rate": 0.01}})
     # limits checked at load, not after a run has done work
+    for kind, key, value in [("eval", "episode_length", 0), ("comparison", "episode_length", -3),
+                             ("comparison", "ff_learning_rate", 0.0),
+                             ("pretrain", "dataset_size", 0), ("pretrain", "pretrain_batch", 0),
+                             ("heatmap", "resolution", 0), ("pretrain", "negative_scale", -0.1),
+                             ("diversity", "trials", 1)]:
+        data = {"kind": kind, key: value}
+        if "goal" in experiments.KIND_KEYS[kind]:
+            data["goal"] = [0.2, 0.0]
+        if kind == "eval":
+            data["model_checkpoint"] = "model.npz"
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            ExperimentConfig.from_dict(data)
     with pytest.raises(ValueError, match="horizons"):
         ExperimentConfig.from_dict({"kind": "diversity", "goal": [0.2, 0.0], "horizons": [6, 1]})
     with pytest.raises(ValueError, match="occupancy_cell must be positive"):

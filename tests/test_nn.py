@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ebmplan.nn import (
-    AdamHyper,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     MlpParams,
     adam_step,
     backward,
@@ -171,7 +173,7 @@ def test_gradient_check_random_nets_within_spec_tolerance():
 def test_adam_zero_gradients_zero_moments_is_identity():
     net = small_net(9)
     state = init_adam_state(net)
-    new_net, new_state = adam_step(net, zero_grads(net), state, AdamHyper())
+    new_net, new_state = adam_step(net, zero_grads(net), state, 1e-3)
     for a, b in zip(new_net.weights, net.weights):
         assert np.array_equal(a, b)
     for a, b in zip(new_net.biases, net.biases):
@@ -184,9 +186,8 @@ def test_adam_single_step_hand_computed():
     # m_hat = 1, v_hat = 1, theta' = -0.1 / (1 + eps)
     net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])], ["identity"])
     grads = MlpParams.from_layers([np.array([[1.0]])], [np.array([0.0])], ["identity"])
-    hyper = AdamHyper(learning_rate=0.1)
-    new_net, state = adam_step(net, grads, init_adam_state(net), hyper)
-    expected = -0.1 / (1.0 + hyper.epsilon)
+    new_net, state = adam_step(net, grads, init_adam_state(net), 0.1)
+    expected = -0.1 / (1.0 + ADAM_EPSILON)
     assert abs(new_net.weights[0][0, 0] - expected) < 1e-15
     assert state.step_count == 1
 
@@ -196,11 +197,10 @@ def test_adam_two_identical_steps_accumulate_first_moments():
     g = 0.37
     net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])], ["identity"])
     grads = MlpParams.from_layers([np.array([[g]])], [np.array([0.0])], ["identity"])
-    hyper = AdamHyper()
     state = init_adam_state(net)
-    net, state = adam_step(net, grads, state, hyper)
+    net, state = adam_step(net, grads, state, 1e-3)
     assert np.isclose(state.first.weights[0][0, 0], (1 - 0.9) * g, rtol=1e-12)
-    net, state = adam_step(net, grads, state, hyper)
+    net, state = adam_step(net, grads, state, 1e-3)
     assert np.isclose(state.first.weights[0][0, 0], (1 - 0.9**2) * g, rtol=1e-12)
 
 
@@ -210,14 +210,17 @@ def test_adam_shape_mismatch_raises():
     for dims in ((2, 6, 2), (3, 4, 2)):
         grads = zero_grads(small_net(2, dims=dims))
         with pytest.raises(ValueError, match="shapes"):
-            adam_step(net, grads, init_adam_state(net), AdamHyper())
+            adam_step(net, grads, init_adam_state(net), 1e-3)
 
 
 def test_adam_hyper_validation():
-    with pytest.raises(ValueError):
-        AdamHyper(learning_rate=-1.0)
-    with pytest.raises(ValueError):
-        AdamHyper(beta1=1.0)
+    # the learning rate is Adam's one settable hyperparameter; beta1, beta2 and
+    # epsilon are the module constants of the paper's optimizer
+    net = small_net(2)
+    for learning_rate in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            adam_step(net, zero_grads(net), init_adam_state(net), learning_rate)
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
 
 def test_failed_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
@@ -249,23 +252,23 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
-def reference_adam(params, grads, first, second, t, hyper):
+def reference_adam(params, grads, first, second, t, learning_rate):
     """Adam applied to each per-layer array on its own, as a reference."""
-    b1, b2 = hyper.beta1, hyper.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_p, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, first, second):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1**t)
         v_hat = v / (1 - b2**t)
-        new_p.append(p - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.epsilon))
+        new_p.append(p - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
         new_m.append(m)
         new_v.append(v)
     return new_p, new_m, new_v
 
 
 def test_adam_step_is_the_per_layer_update_bit_for_bit():
-    hyper = AdamHyper(learning_rate=3e-3)
+    learning_rate = 3e-3
     for dims in ((8, 64, 64, 1), (4, 64, 64, 2)):
         rng = np.random.default_rng(sum(dims))
         net = mlp_init(dims, rng)
@@ -275,9 +278,9 @@ def test_adam_step_is_the_per_layer_update_bit_for_bit():
         second = [np.zeros_like(p) for p in params]
         for t in (1, 2, 3):
             grads = net.like(rng.normal(size=net.flat.size))
-            net, state = adam_step(net, grads, state, hyper)
+            net, state = adam_step(net, grads, state, learning_rate)
             params, first, second = reference_adam(
-                params, grads.weights + grads.biases, first, second, t, hyper
+                params, grads.weights + grads.biases, first, second, t, learning_rate
             )
             assert state.step_count == t
             for got, want in ((net, params), (state.first, first), (state.second, second)):

@@ -14,7 +14,7 @@ from ebmplan.energy import (
     transition_energies,
 )
 from ebmplan.envs import maze_env, particle_env, reacher_env
-from ebmplan.nn import AdamHyper, adam_step, init_adam_state
+from ebmplan.nn import adam_step, init_adam_state
 from ebmplan.online import (
     OnlineConfig,
     ReplayBuffer,
@@ -131,7 +131,7 @@ def plan_execute_update(spec, model, goal, config, rng):
     planned = plan(model, state, goal, config.planner, rng)
     real, prefix, _ = execute_plan(spec, state, planned, config.deviation_threshold)
     new_model, _, loss = contrastive_train_step(
-        model, (collate(real), collate(prefix)), config.adam, init_adam_state(model.net)
+        model, (collate(real), collate(prefix)), config.learning_rate, init_adam_state(model.net)
     )
     return new_model, real, prefix, loss
 
@@ -154,9 +154,9 @@ def test_online_train_step_grows_buffers_by_fresh_pairs():
         fresh.append((collate(real), collate(prefix)))
         return fresh[-1]
 
-    def train_step(model, batch, hyper, adam_state):
+    def train_step(model, batch, learning_rate, adam_state):
         batches.append(batch)
-        model, adam_state, loss = contrastive_train_step(model, batch, hyper, adam_state)
+        model, adam_state, loss = contrastive_train_step(model, batch, learning_rate, adam_state)
         losses.append(loss)
         return model, adam_state, loss
 
@@ -221,10 +221,10 @@ def test_contrastive_train_step_is_loss_grads_then_adam():
     rng = np.random.default_rng(8)
     model = make_energy_model(2, rng, (8, 8))
     batch = (rng.normal(size=(5, 4)), rng.normal(size=(5, 4)))
-    hyper, state = AdamHyper(learning_rate=0.01), init_adam_state(model.net)
-    new_model, new_state, loss = contrastive_train_step(model, batch, hyper, state)
+    state = init_adam_state(model.net)
+    new_model, new_state, loss = contrastive_train_step(model, batch, 0.01, state)
     want_loss, grads = contrastive_loss_and_grads(model, *batch)
-    want_net, want_state = adam_step(model.net, grads, state, hyper)
+    want_net, want_state = adam_step(model.net, grads, state, 0.01)
     assert loss == want_loss
     assert np.array_equal(new_model.net.flat, want_net.flat)
     assert np.array_equal(new_state.first.flat, want_state.first.flat)
@@ -298,7 +298,7 @@ def test_run_online_ends_the_episode_at_the_first_goal_hit():
         lengths.append((real.shape[0], prefix.shape[0], actions.shape[0]))
         return (collate(real),)
 
-    def train_step(model, batch, hyper, adam_state):
+    def train_step(model, batch, learning_rate, adam_state):
         return model, adam_state, 0.0
 
     result = run_online(spec, goal, config, np.random.default_rng(0), model, propose,
@@ -329,7 +329,7 @@ def test_run_online_cuts_a_chunk_with_two_goal_hits_at_the_first():
         assert len(actions) == len(real) - 1 and len(prefix) == len(real)
         return (collate(real),)
 
-    def train_step(model, batch, hyper, adam_state):
+    def train_step(model, batch, learning_rate, adam_state):
         return model, adam_state, 0.0
 
     result = run_online(spec, goal, config, np.random.default_rng(0), model, propose,
@@ -347,6 +347,8 @@ def test_online_config_validation():
         tiny_config(episode_length=0)
     with pytest.raises(ValueError):
         tiny_config(batch_size=0)
+    with pytest.raises(ValueError, match="learning_rate"):
+        tiny_config(learning_rate=0.0)
 
 
 def spied(spec):
