@@ -2,8 +2,10 @@
 
 The corpus is every shipped config cut to a short run at seeds 0-1, plus an
 action-FF eval (``shipped_runs`` in ``tests/test_cli.py``); every
-``tiny_configs`` kind at its own seeds and at ``--seed 2``; and every frozen
-bench workload at seeds 0-2. Each output file prints as one
+``tiny_configs`` kind at its own seeds and at ``--seed 2``; the tiny ``online``
+and ``pretrain`` configs moved to the reacher with the action-FF model, which
+reach the reacher's ``clip_action`` and its branch of ``random_policy``; and
+every frozen bench workload at seeds 0-2. Each output file prints as one
 ``<run>/<file> <sha256>`` line, so two source trees compare with one diff:
 
     python3 scripts/output_digests.py > change.txt
@@ -32,8 +34,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def corpus(tmp: Path, shipped_runs, tiny_configs) -> list[tuple[str, dict, list[str]]]:
     """(run name, config, extra CLI arguments) of every run, in run order."""
     runs = [(f"shipped/{name}", config, []) for name, config in shipped_runs([0, 1])]
-    for kind, config in tiny_configs(tmp).items():
+    tiny = tiny_configs(tmp)
+    for kind, config in tiny.items():
         runs += [(f"tiny/{kind}", config, []), (f"tiny/{kind}/seed2", config, ["--seed", "2"])]
+    reacher_ff = {"env": "reacher", "env_options": {}, "model": "action-ff"}
+    runs += [("tiny/online-reacher-actionff",
+              {**tiny["online"], **reacher_ff, "goal": [0.4, -0.3, 0.0, 0.0]}, []),
+             ("tiny/pretrain-reacher-actionff", {**tiny["pretrain"], **reacher_ff}, [])]
     for path in sorted((ROOT / "bench" / "workloads").glob("*.json")):
         config = json.loads(path.read_text())
         runs += [(f"workload/{path.stem}/seed{seed}", config, ["--seed", str(seed)])

@@ -6,7 +6,9 @@ The package is organized bottom-up: ``nn`` (MLPs, backprop, Adam), ``energy``
 two-joint arm benchmarks), ``online`` (``run_online``, the interactive
 training loop of both model kinds), ``baselines`` (action-conditioned forward
 model planned by the same MPPI kernel, random policy), and
-``experiments``/``cli`` (config-driven benchmark runs).
+``experiments``/``cli`` (config-driven benchmark runs). ``experiments.MODEL_KINDS``
+holds what every runner needs from each model kind, and ``online_train`` runs
+either kind through ``run_online``.
 """
 
 from .baselines import (
@@ -15,7 +17,6 @@ from .baselines import (
     ff_predict,
     ff_train_step,
     make_action_ff,
-    online_train_action_ff,
     random_policy,
 )
 from .energy import (
@@ -37,10 +38,12 @@ from .envs import (
     reacher_env,
 )
 from .experiments import (
+    MODEL_KINDS,
     ExperimentConfig,
     energy_heatmap,
     evaluate_model,
     gen_random_dataset,
+    online_train,
     pretrain,
     run_diversity,
     run_experiment,
@@ -60,7 +63,6 @@ from .online import (
     OnlineResult,
     ReplayBuffer,
     execute_plan,
-    online_train,
     run_online,
 )
 from .planner import (

@@ -25,7 +25,6 @@ from .nn import (
     mlp_forward,
     mlp_init,
 )
-from .online import OnlineConfig, OnlineResult, run_online
 from .planner import PlannerConfig, mppi_refine
 
 
@@ -126,10 +125,9 @@ def ff_plan(
     Sampled action sequences are perturbed by ``mppi_refine`` with smooth
     noise, clipped by ``action_clip`` (the environment's admissible-action
     projection; must accept batches), rolled through the model, and scored by
-    the squared distance of the predicted final state to the goal. That is
-    always the objective: ``config.score_mode`` and ``config.goal_weight`` are
-    ignored, so the baseline does not plan against the objective of an energy
-    model given the same ``planner`` section. Returns the weighted-average
+    the squared distance of the predicted final state to the goal, the
+    action-FF objective (see ``experiments.MODEL_KINDS``); ``config.score_mode``
+    and ``config.goal_weight`` are not read. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
     The scoring rollouts use a float32 copy of the net, made once per call,
@@ -176,31 +174,3 @@ def random_policy(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
         return radius * np.array([np.cos(angle), np.sin(angle)])
     return rng.uniform(-spec.action_bound, spec.action_bound, size=spec.action_dim)
 
-
-# ---------------------------------------------------------------------------
-# online training of the baseline
-
-
-def online_train_action_ff(
-    spec: EnvSpec,
-    goal: np.ndarray,
-    config: OnlineConfig,
-    rng: np.random.Generator,
-) -> OnlineResult:
-    """Run the forward-model baseline through ``run_online``.
-
-    Plans in action space, executes the predicted trajectory through inverse
-    dynamics with the same deviation-triggered stopping, and fits the model by
-    mean squared error on the executed transitions plus replay samples. Each
-    row is ``(s, a, s')``, with ``a`` the command that ``execute_plan`` sent,
-    clipped to the admissible set as the environment clips it.
-    """
-    model = make_action_ff(spec.state_dim, spec.action_dim, rng, config.hidden_sizes)
-
-    def propose(model, state, rng):
-        return ff_plan(model, state, goal, config.planner, rng, spec.clip_action)[1]
-
-    def fresh_rows(real, prefix, actions):
-        return (np.concatenate([real[:-1], spec.clip_action(actions), real[1:]], axis=1),)
-
-    return run_online(spec, goal, config, rng, model, propose, fresh_rows, ff_train_step)

@@ -14,22 +14,17 @@ from __future__ import annotations
 import json
 import types
 from dataclasses import dataclass, field, is_dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from ._io import write_atomic
-from .baselines import (
-    ActionFFModel,
-    ff_plan,
-    ff_train_step,
-    make_action_ff,
-    online_train_action_ff,
-    random_policy,
-)
+from .baselines import ActionFFModel, ff_plan, ff_train_step, make_action_ff, random_policy
 from .energy import (
     EnergyModel,
+    collate,
     contrastive_train_step,
     make_energy_model,
     pack_pairs,
@@ -38,7 +33,7 @@ from .energy import (
 )
 from .envs import ENV_FACTORIES, MAP_HIGH, MAP_LOW, EnvSpec, MazeLayout, make_env, occupancy_cells
 from .nn import check_update, init_adam_state, load_mlp, param_norm, save_mlp
-from .online import OnlineConfig, online_train
+from .online import OnlineConfig, OnlineResult, run_online
 from .planner import PlannerConfig, plan, plan_target
 from .svg import write_heatmap_svg
 
@@ -96,6 +91,74 @@ def write_csv(path: str | Path, header: tuple[str, ...], rows) -> None:
     lines = [",".join(header)]
     lines += [",".join(_format_cell(v) for v in row) for row in rows]
     write_atomic(path, ("\n".join(lines) + "\n").encode())
+
+
+# ---------------------------------------------------------------------------
+# model kinds
+
+
+class ModelKind(NamedTuple):
+    """What the runners need from one model kind; ``MODEL_KINDS`` holds one per kind."""
+
+    make: Callable  # (state_dim, action_dim, rng, hidden_sizes) -> a fresh model
+    wrap: Callable  # (net, state_dim, action_dim) -> a model around a loaded net
+    target: Callable  # (spec, goal, planner_config) -> what the kind plans against
+    # (spec, target, planner_config, model, state, rng) -> a planned state
+    # trajectory, for run_online, or the one action to take, for evaluate_model
+    trajectory: Callable
+    action: Callable
+    fresh_rows: Callable  # run_online's, with spec as the first argument
+    train_step: Callable  # (model, batch, learning_rate, adam_state), for both loops
+    pretrain_rows: Callable  # (dataset) -> the rows that pretrain draws batches from
+    pretrain_batch: Callable  # (model, rows, rng, negative_scale) -> a train_step batch
+
+
+# Every field calls its library function by its module-global name when it
+# runs: bench/tracing.py times a function by rebinding that global, so a
+# function held in a record would run untraced.
+MODEL_KINDS = {
+    "ebm": ModelKind(
+        make=lambda s_dim, a_dim, rng, hidden: make_energy_model(s_dim, rng, hidden),
+        wrap=lambda net, s_dim, a_dim: EnergyModel(net, s_dim),
+        # the goal, the goal's reward or nothing, as planner.score_mode says
+        target=lambda spec, goal, cfg: plan_target(spec, goal, cfg),
+        trajectory=lambda spec, target, cfg, model, state, rng: plan(
+            model, state, target, cfg, rng),
+        action=lambda spec, target, cfg, model, state, rng: spec.inverse_dynamics(
+            state, plan(model, state, target, cfg, rng)[1]),
+        # executed transitions as positives, the attempted planned ones as negatives
+        fresh_rows=lambda spec, real, prefix, actions: (collate(real), collate(prefix)),
+        train_step=lambda *args: contrastive_train_step(*args),
+        # dataset pairs as positives, negatives drawn around them from the current model
+        pretrain_rows=lambda dataset: pack_pairs(dataset[0], dataset[2]),
+        pretrain_batch=lambda model, rows, rng, scale: (
+            rows, sample_negative_pairs(model, rows, rng, scale=scale)),
+    ),
+    "action-ff": ModelKind(
+        make=lambda s_dim, a_dim, rng, hidden: make_action_ff(s_dim, a_dim, rng, hidden),
+        wrap=lambda net, s_dim, a_dim: ActionFFModel(net, s_dim, a_dim),
+        # The action-FF objective: the squared distance of the predicted final
+        # state to the goal. It ignores planner.score_mode and goal_weight, so
+        # the two kinds given one planner section plan against different objectives.
+        target=lambda spec, goal, cfg: goal,
+        trajectory=lambda spec, goal, cfg, model, state, rng: ff_plan(
+            model, state, goal, cfg, rng, spec.clip_action)[1],
+        action=lambda spec, goal, cfg, model, state, rng: ff_plan(
+            model, state, goal, cfg, rng, spec.clip_action)[0][0],
+        # (s, a, s') rows, a the command execute_plan sent, clipped as the env clips it
+        fresh_rows=lambda spec, real, prefix, actions: (
+            np.concatenate([real[:-1], spec.clip_action(actions), real[1:]], axis=1),),
+        train_step=lambda *args: ff_train_step(*args),
+        pretrain_rows=lambda dataset: np.concatenate(dataset, axis=1),
+        pretrain_batch=lambda model, rows, rng, scale: (rows,),
+    ),
+}
+
+
+def _model_kind(name: str) -> ModelKind:
+    if name not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {name!r}")
+    return MODEL_KINDS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +220,9 @@ def pretrain(
         raise ValueError("dataset must be non-empty")
     if mode not in PRETRAIN_MODES:
         raise ValueError(f"mode must be one of {PRETRAIN_MODES}")
-    if model_kind == "ebm":
-        pairs = pack_pairs(states, next_states)
-        model = make_energy_model(states.shape[1], rng, hidden_sizes)
-        train_step = contrastive_train_step
-
-        def batch_of(model, idx):
-            positives = pairs[idx]
-            return positives, sample_negative_pairs(model, positives, rng, scale=negative_scale)
-
-    elif model_kind == "action-ff":
-        rows = np.concatenate([states, actions, next_states], axis=1)
-        model = make_action_ff(states.shape[1], actions.shape[1], rng, hidden_sizes)
-        train_step = ff_train_step
-
-        def batch_of(model, idx):
-            return (rows[idx],)
-
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    kind = _model_kind(model_kind)
+    model = kind.make(states.shape[1], actions.shape[1], rng, hidden_sizes)
+    rows = kind.pretrain_rows(dataset)
     adam_state = init_adam_state(model.net)
     initial_norm = param_norm(model.net)
     n = states.shape[0]
@@ -185,7 +232,8 @@ def pretrain(
             idx = rng.integers(0, n, size=batch_size)
         else:
             idx = np.array([(step // repeat_factor) % n])
-        model, adam_state, loss = train_step(model, batch_of(model, idx), learning_rate, adam_state)
+        batch = kind.pretrain_batch(model, rows[idx], rng, negative_scale)
+        model, adam_state, loss = kind.train_step(model, batch, learning_rate, adam_state)
         check_update(f"pretrain step {step}", loss, model.net, initial_norm)
         if step % 100 == 0 or step == steps - 1:
             losses.append((step, loss))
@@ -216,36 +264,38 @@ def run_policy_episode(
     return total
 
 
-def evaluate_model(
-    model,
-    spec: EnvSpec,
-    goal: np.ndarray,
-    planner_config: PlannerConfig,
-    episodes: int,
-    episode_length: int,
-    rng: np.random.Generator,
-) -> list[float]:
-    """Fixed-length episodes, re-planning every step and taking one action."""
+def evaluate_model(model_kind: str, model, spec: EnvSpec, goal: np.ndarray,
+                   planner_config: PlannerConfig, episodes: int, episode_length: int,
+                   rng: np.random.Generator) -> list[float]:
+    """Fixed-length episodes of a ``model_kind`` model, re-planning every step and
+    taking one action."""
     goal = np.asarray(goal, dtype=float)
+    kind = _model_kind(model_kind)
+    target = kind.target(spec, goal, planner_config)
 
-    if isinstance(model, EnergyModel):
-        target = plan_target(spec, goal, planner_config)
-
-        def policy(state):
-            traj = plan(model, state, target, planner_config, rng)
-            return spec.inverse_dynamics(state, traj[1])
-
-    else:
-
-        def policy(state):
-            actions, _ = ff_plan(model, state, goal, planner_config, rng, spec.clip_action)
-            return actions[0]
+    def policy(state):
+        return kind.action(spec, target, planner_config, model, state, rng)
 
     return [run_policy_episode(spec, goal, policy, episode_length) for _ in range(episodes)]
 
 
 # ---------------------------------------------------------------------------
-# exploration
+# online training and exploration
+
+
+def online_train(model_kind: str, spec: EnvSpec, goal: np.ndarray | None, config: OnlineConfig,
+                 rng: np.random.Generator) -> OnlineResult:
+    """Train a fresh ``model_kind`` model through ``run_online`` until the step budget is spent.
+
+    ``goal`` is None only for the energy model's goal-free (prior-only)
+    exploration, whose episode scores are zero.
+    """
+    kind = _model_kind(model_kind)
+    model = kind.make(spec.state_dim, spec.action_dim, rng, config.hidden_sizes)
+    target = kind.target(spec, goal, config.planner)
+    return run_online(spec, goal, config, rng, model,
+                      partial(kind.trajectory, spec, target, config.planner),
+                      partial(kind.fresh_rows, spec), kind.train_step)
 
 
 def run_explore(
@@ -268,7 +318,7 @@ def run_explore(
             series.append((step, len(visited)))
         return series
     if policy_kind == "ebm-prior":
-        result = online_train(spec, None, config, rng)
+        result = online_train("ebm", spec, None, config, rng)
         return [(row.step, row.occupancy) for row in result.metrics]
     raise ValueError(f"unknown exploration policy {policy_kind!r}")
 
@@ -437,8 +487,7 @@ class ExperimentConfig:
             raise ValueError("experiment 'heatmap' renders one model: give exactly one seed")
         if self.env not in ENV_FACTORIES:
             raise ValueError(f"unknown environment kind {self.env!r}")
-        if self.model not in ("ebm", "action-ff"):
-            raise ValueError(f"unknown model kind {self.model!r}")
+        _model_kind(self.model)
         if self.kind in ("explore", "diversity", "heatmap") and self.model != "ebm":
             raise ValueError(f"experiment {self.kind!r} needs model 'ebm', an energy network")
         for name in ("pretrain_steps", "dataset_size", "dataset_reset_every", "pretrain_batch",
@@ -538,14 +587,19 @@ def _log(quiet: bool, message: str) -> None:
         print(message, flush=True)
 
 
-def _load_model(config: ExperimentConfig, spec: EnvSpec, seed: int):
-    """The checkpointed model, or without a checkpoint a fresh energy model."""
+def _seed_models(config: ExperimentConfig, spec: EnvSpec):
+    """seed -> the model to run: the ``model_checkpoint`` model, read here once for
+    every seed, or without a checkpoint a fresh model seeded by ``seed``."""
+    kind = MODEL_KINDS[config.model]
     if config.model_checkpoint is None:
-        return make_energy_model(spec.state_dim, np.random.default_rng(seed), config.hidden_sizes)
-    net = load_mlp(config.model_checkpoint)
-    if config.model == "ebm":
-        return EnergyModel(net, spec.state_dim)
-    return ActionFFModel(net, spec.state_dim, spec.action_dim)
+        return lambda seed: kind.make(spec.state_dim, spec.action_dim,
+                                      np.random.default_rng(seed), config.hidden_sizes)
+    try:
+        net = load_mlp(config.model_checkpoint)
+    except FileNotFoundError:
+        raise ValueError(f"model_checkpoint: {config.model_checkpoint}: no such file") from None
+    model = kind.wrap(net, spec.state_dim, spec.action_dim)
+    return lambda seed: model
 
 
 # CSV_HEADERS key -> output file stem, where the two differ
@@ -560,15 +614,16 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
     until every seed has run, so a run that fails leaves no output behind.
     """
     spec = config.make_env()
+    model_of = _seed_models(config, spec)
     out_dir = Path(config.out_dir)
     if config.kind == "heatmap":
-        _write_heatmap(config, spec, out_dir, quiet)
+        _write_heatmap(config, model_of(config.seeds[0]), out_dir, quiet)
         return out_dir
     run_seed = _SEED_RUNNERS[config.kind]
     tables, nets = {}, {}
     for seed in config.seeds:
         try:
-            tables[seed], nets[seed], line = run_seed(config, spec, seed)
+            tables[seed], nets[seed], line = run_seed(config, spec, seed, model_of)
         except ValueError as exc:
             raise ValueError(f"seed {seed}: {exc}") from None
         _log(quiet, line)
@@ -582,14 +637,15 @@ def run_experiment(config: ExperimentConfig, quiet: bool = False) -> Path:
     return out_dir
 
 
-# Each per-seed runner maps (config, spec, seed) to (rows by CSV_HEADERS key,
-# the net to checkpoint or None, a progress line) and writes nothing.
+# Each per-seed runner maps (config, spec, seed, model_of) to (rows by
+# CSV_HEADERS key, the net to checkpoint or None, a progress line) and writes
+# nothing; model_of(seed) is the model that eval and diversity run.
 
 
-def _online_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+def _online_seed(config: ExperimentConfig, spec: EnvSpec, seed: int, model_of):
     goal = np.asarray(config.goal, dtype=float)
-    train = online_train if config.model == "ebm" else online_train_action_ff
-    result = train(spec, goal, config.online_config(), np.random.default_rng(seed))
+    result = online_train(config.model, spec, goal, config.online_config(),
+                          np.random.default_rng(seed))
     tables = {
         "online": [(seed, m.step, m.episode, m.score, m.loss, m.executed, m.occupancy)
                    for m in result.metrics],
@@ -601,17 +657,13 @@ def _online_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
 
 def _pretrain(config: ExperimentConfig, model_kind: str, mode: str, dataset, rng,
               learning_rate: float) -> PretrainResult:
-    return pretrain(
-        model_kind, dataset, mode, config.pretrain_steps, rng,
-        hidden_sizes=config.hidden_sizes,
-        learning_rate=learning_rate,
-        batch_size=config.pretrain_batch,
-        repeat_factor=config.repeat_factor,
-        negative_scale=config.negative_scale,
-    )
+    return pretrain(model_kind, dataset, mode, config.pretrain_steps, rng,
+                    hidden_sizes=config.hidden_sizes, learning_rate=learning_rate,
+                    batch_size=config.pretrain_batch, repeat_factor=config.repeat_factor,
+                    negative_scale=config.negative_scale)
 
 
-def _pretrain_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+def _pretrain_seed(config: ExperimentConfig, spec: EnvSpec, seed: int, model_of):
     rng = np.random.default_rng(seed)
     dataset = gen_random_dataset(spec, config.dataset_size, rng, config.dataset_reset_every)
     result = _pretrain(config, config.model, "shuffled", dataset, rng, config.learning_rate)
@@ -620,23 +672,22 @@ def _pretrain_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     return tables, result.model.net, line
 
 
-def _eval_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+def _eval_seed(config: ExperimentConfig, spec: EnvSpec, seed: int, model_of):
     goal = np.asarray(config.goal, dtype=float)
-    model = _load_model(config, spec, seed)
-    scores = evaluate_model(model, spec, goal, config.planner, config.episodes,
+    scores = evaluate_model(config.model, model_of(seed), spec, goal, config.planner, config.episodes,
                             config.episode_length, np.random.default_rng(seed))
     tables = {"eval": [(seed, i, s) for i, s in enumerate(scores)]}
     return tables, None, f"eval seed {seed}: mean score {np.mean(scores):.3f}"
 
 
-def _explore_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+def _explore_seed(config: ExperimentConfig, spec: EnvSpec, seed: int, model_of):
     series = run_explore(config.explore_policy, spec, seed, config.online_config())
     tables = {"explore": [(seed, step, occ) for step, occ in series]}
     line = f"explore[{config.explore_policy}] seed {seed}: final occupancy {series[-1][1]}"
     return tables, None, line
 
 
-def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int, model_of):
     """Both model kinds pretrained once per mode on one random dataset, then evaluated.
 
     Every model plays the open map, for ``ablation.csv``; the shuffled models
@@ -651,29 +702,28 @@ def _comparison_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
     dataset = gen_random_dataset(spec, config.dataset_size, rng, config.dataset_reset_every)
     tables, means = {"obstacle": [], "ablation": []}, []
 
-    def play(model, env, label):
-        scores = evaluate_model(model, env, goal, config.planner, config.episodes,
+    def play(model_kind, model, env, label):
+        scores = evaluate_model(model_kind, model, env, goal, config.planner, config.episodes,
                                 config.episode_length, np.random.default_rng(seed + 1))
         means.append(f"{label} {np.mean(scores):.3f}")
         return list(enumerate(scores))
 
-    for model_kind in ("ebm", "action-ff"):
-        lr = config.learning_rate if model_kind == "ebm" else config.ff_learning_rate
+    for model_kind, lr in (("ebm", config.learning_rate), ("action-ff", config.ff_learning_rate)):
         for mode in PRETRAIN_MODES:
             rng = np.random.default_rng(seed + 17)
             model = _pretrain(config, model_kind, mode, dataset, rng, lr).model
-            scores = play(model, spec, f"{model_kind}/{mode}")
+            scores = play(model_kind, model, spec, f"{model_kind}/{mode}")
             tables["ablation"] += [(seed, model_kind, mode, i, s) for i, s in scores]
             if mode == "shuffled":
                 tables["obstacle"] += [(seed, model_kind, "open", i, s) for i, s in scores]
-                scores = play(model, blocked, f"{model_kind}/obstacle")
+                scores = play(model_kind, model, blocked, f"{model_kind}/obstacle")
                 tables["obstacle"] += [(seed, model_kind, "obstacle", i, s) for i, s in scores]
     return tables, None, f"comparison seed {seed}: mean " + " ".join(means)
 
 
-def _diversity_seed(config: ExperimentConfig, spec: EnvSpec, seed: int):
+def _diversity_seed(config: ExperimentConfig, spec: EnvSpec, seed: int, model_of):
     target = plan_target(spec, np.asarray(config.goal, dtype=float), config.planner)
-    model = _load_model(config, spec, seed)
+    model = model_of(seed)
     trial_seeds = [int(v) for v in np.random.SeedSequence(seed).generate_state(config.trials)]
     spreads = run_diversity(model, spec.start_state, target, config.horizons, trial_seeds,
                             config.planner)
@@ -692,9 +742,9 @@ _SEED_RUNNERS = {
 }
 
 
-def _write_heatmap(config: ExperimentConfig, spec: EnvSpec, out_dir: Path, quiet: bool) -> None:
+def _write_heatmap(config: ExperimentConfig, model: EnergyModel, out_dir: Path,
+                   quiet: bool) -> None:
     # not per seed, a header that depends on the resolution, and an SVG beside the CSV
-    model = _load_model(config, spec, config.seeds[0])
     matrix = energy_heatmap(model, config.resolution, displacement=config.heatmap_displacement)
     rows = [tuple(float(v) for v in row) for row in matrix]
     header = tuple(f"x{i}" for i in range(config.resolution))

@@ -1,13 +1,14 @@
 """Online model training against a live environment.
 
-``run_online`` is the one loop for both model kinds. Each iteration plans a
-trajectory with the current model, executes it through ground-truth inverse
-dynamics until the real state deviates from the plan by more than a
-threshold, and takes one training step on the fresh rows that the model kind
-derives from the executed chunk, each array padded with samples from its own
-replay buffer. For the energy model the rows are the executed real
-transitions, as positives, and the attempted planned transitions up to the
-deviation, as negatives, and the step is ``energy.contrastive_train_step``.
+``run_online`` is the one loop for both model kinds; ``experiments.online_train``
+runs it with the parts that ``experiments.MODEL_KINDS`` gives the kind. Each
+iteration plans a trajectory with the current model, executes it through
+ground-truth inverse dynamics until the real state deviates from the plan by
+more than a threshold, and takes one training step on the fresh rows that the
+model kind derives from the executed chunk, each array padded with samples
+from its own replay buffer. For the energy model the rows are the executed
+real transitions, as positives, and the attempted planned transitions up to
+the deviation, as negatives, and the step is ``energy.contrastive_train_step``.
 When execution tracks the plan exactly the fresh positives and negatives
 coincide and cancel, so only planning errors drive learning.
 """
@@ -19,10 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import collate, contrastive_train_step, make_energy_model
 from .envs import EnvSpec, occupancy_cells
 from .nn import check_update, init_adam_state, param_norm
-from .planner import PlannerConfig, plan, plan_target
+from .planner import PlannerConfig
 
 
 class ReplayBuffer:
@@ -249,27 +249,3 @@ def run_online(
             state = spec.start_state.copy()
     return OnlineResult(model=model, episode_scores=episode_scores, metrics=metrics)
 
-
-def online_train(
-    spec: EnvSpec,
-    goal: np.ndarray | None,
-    config: OnlineConfig,
-    rng: np.random.Generator,
-) -> OnlineResult:
-    """Train an energy model online until the environment step budget is spent.
-
-    ``goal`` may be None for goal-free (prior-only) exploration, in which case
-    episode scores are zero and only the occupancy column is informative.
-    Returns the trained model plus per-episode scores and per-update metrics.
-    """
-    model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
-    target = plan_target(spec, goal, config.planner)
-
-    def propose(model, state, rng):
-        return plan(model, state, target, config.planner, rng)
-
-    def fresh_rows(real, prefix, actions):
-        return collate(real), collate(prefix)
-
-    return run_online(spec, goal, config, rng, model, propose, fresh_rows,
-                      contrastive_train_step)

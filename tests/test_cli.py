@@ -12,6 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from ebmplan import experiments
 from ebmplan.cli import main
 from ebmplan.energy import make_energy_model
 from ebmplan.experiments import EXPERIMENT_KINDS, KIND_KEYS, ExperimentConfig
@@ -350,6 +351,22 @@ def test_eval_requires_checkpoint(tmp_path, capsys):
     out = tmp_path / "out-eval"
     assert main(["eval", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
     assert "model_checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "diversity"])
+def test_missing_checkpoint_exits_2_before_any_seed(command, tmp_path, capsys, monkeypatch):
+    # the checkpoint is read once, before the seed loop, and the line names its key
+    seeds_run = []
+    monkeypatch.setitem(experiments._SEED_RUNNERS, command,
+                        lambda config, spec, seed, model_of: seeds_run.append(seed))
+    missing = str(tmp_path / "missing.npz")
+    config = {**tiny_configs(tmp_path)[command], "seeds": [0, 1], "model_checkpoint": missing}
+    cfg_path = write_config(tmp_path, f"{command}-missing.json", config)
+    out = tmp_path / f"out-{command}"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: model_checkpoint: {missing}: no such file\n"
+    assert seeds_run == []
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from ebmplan.energy import EnergyModel, make_energy_model, transition_energies
 from ebmplan.envs import MazeLayout, make_env, maze_env, occupancy_cells, particle_env
 from ebmplan.experiments import (
     CSV_HEADERS,
+    MODEL_KINDS,
     ExperimentConfig,
     energy_heatmap,
     evaluate_model,
@@ -252,6 +253,23 @@ def test_write_csv_formats_and_replaces_atomically(tmp_path):
     assert not path.with_name(path.name + ".tmp").exists()
 
 
+def test_config_accepts_exactly_the_model_kinds(monkeypatch):
+    # the config reads the table: adding or removing a record adds or removes a model value
+    def loads(name):
+        try:
+            return ExperimentConfig.from_dict({"kind": "pretrain", "model": name}).model == name
+        except ValueError as exc:
+            assert "unknown model kind" in str(exc)
+            return False
+
+    assert set(MODEL_KINDS) == {"ebm", "action-ff"}
+    assert all(loads(name) for name in MODEL_KINDS)
+    assert not any(loads(name) for name in ("EBM", "ff", "action_ff", "transformer", ""))
+    monkeypatch.setitem(MODEL_KINDS, "transformer", MODEL_KINDS["ebm"])
+    monkeypatch.delitem(MODEL_KINDS, "action-ff")
+    assert loads("transformer") and loads("ebm") and not loads("action-ff")
+
+
 def test_experiment_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"kind": "online", "typo_key": 1})
@@ -360,13 +378,13 @@ def test_evaluate_model_vacuous_obstacle_matches_open_scores():
     # an obstacle far from every plausible path changes nothing
     far_wall = (-0.9, -0.9, -0.8, -0.8)
     blocked = maze_env(MazeLayout((far_wall,)), start=(0.0, 0.0))
-    for model in (ebm, ff):
+    for kind, model in (("ebm", ebm), ("action-ff", ff)):
         for seed in (0, 1):
             open_scores = evaluate_model(
-                model, spec, goal, planner, 2, 10, np.random.default_rng(seed)
+                kind, model, spec, goal, planner, 2, 10, np.random.default_rng(seed)
             )
             blocked_scores = evaluate_model(
-                model, blocked, goal, planner, 2, 10, np.random.default_rng(seed)
+                kind, model, blocked, goal, planner, 2, 10, np.random.default_rng(seed)
             )
             assert np.allclose(blocked_scores, open_scores, rtol=1e-12)
 

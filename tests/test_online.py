@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ebmplan import online
-from ebmplan.baselines import online_train_action_ff
 from ebmplan.energy import (
     collate,
     contrastive_loss_and_grads,
@@ -14,12 +13,12 @@ from ebmplan.energy import (
     transition_energies,
 )
 from ebmplan.envs import maze_env, particle_env, reacher_env
+from ebmplan.experiments import MODEL_KINDS, online_train
 from ebmplan.nn import adam_step, init_adam_state
 from ebmplan.online import (
     OnlineConfig,
     ReplayBuffer,
     execute_plan,
-    online_train,
     run_online,
 )
 from ebmplan.planner import PlannerConfig, plan
@@ -236,7 +235,7 @@ def test_contrastive_train_step_is_loss_grads_then_adam():
 def test_online_train_zero_budget_returns_empty_series():
     spec = particle_env()
     config = tiny_config(env_step_budget=0)
-    result = online_train(spec, np.array([0.2, 0.2]), config, np.random.default_rng(0))
+    result = online_train("ebm", spec, np.array([0.2, 0.2]), config, np.random.default_rng(0))
     assert result.episode_scores == []
     assert result.metrics == []
 
@@ -244,7 +243,7 @@ def test_online_train_zero_budget_returns_empty_series():
 def test_online_train_goal_at_start_scores_near_zero():
     spec = particle_env(start=(0.1, 0.1))
     config = tiny_config(env_step_budget=20, episode_length=10)
-    result = online_train(spec, np.array([0.1, 0.1]), config, np.random.default_rng(1))
+    result = online_train("ebm", spec, np.array([0.1, 0.1]), config, np.random.default_rng(1))
     assert len(result.episode_scores) >= 1
     assert all(abs(s) < 0.2 for s in result.episode_scores)
 
@@ -255,9 +254,9 @@ def test_online_train_bit_identical_metrics_across_runs():
     spec = particle_env()
     config = tiny_config(env_step_budget=25)
     goal = np.array([-0.3, -0.2])
-    for train in (online_train, online_train_action_ff):
-        a = train(spec, goal, config, np.random.default_rng(7))
-        b = train(spec, goal, config, np.random.default_rng(7))
+    for kind in MODEL_KINDS:
+        a = online_train(kind, spec, goal, config, np.random.default_rng(7))
+        b = online_train(kind, spec, goal, config, np.random.default_rng(7))
         assert len(a.metrics) == len(b.metrics)
         for ra, rb in zip(a.metrics, b.metrics):
             assert (ra.step, ra.episode, ra.executed, ra.occupancy) == (
@@ -271,8 +270,8 @@ def test_online_train_bit_identical_metrics_across_runs():
 def test_online_train_respects_budget_and_episode_length():
     spec = particle_env()
     config = tiny_config(env_step_budget=23, episode_length=7)
-    for train in (online_train, online_train_action_ff):
-        result = train(spec, np.array([0.4, 0.4]), config, np.random.default_rng(2))
+    for kind in MODEL_KINDS:
+        result = online_train(kind, spec, np.array([0.4, 0.4]), config, np.random.default_rng(2))
         assert result.metrics[-1].step == 23
         steps = 0
         for row in result.metrics:
@@ -406,7 +405,7 @@ def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
     for spec, goal, atol in cases:
         buffers.clear()
         spy, sent = spied(spec)
-        online_train_action_ff(spy, goal, config, np.random.default_rng(7))
+        online_train("action-ff", spy, goal, config, np.random.default_rng(7))
         (buffer,) = buffers
         rows = buffer.as_array()
         assert len(rows) == len(sent) == config.env_step_budget
