@@ -4,8 +4,10 @@ The corpus is every shipped config cut to a short run at seeds 0-1, plus an
 action-FF eval (``shipped_runs`` in ``tests/test_cli.py``); every
 ``tiny_configs`` kind at its own seeds and at ``--seed 2``; the tiny ``online``
 and ``pretrain`` configs moved to the reacher with the action-FF model, which
-reach the reacher's ``clip_action`` and its branch of ``random_policy``; and
-every frozen bench workload at seeds 0-2. Each output file prints as one
+reach the reacher's ``clip_action`` and ``random_action``; the tiny ``online``
+config with its goal at the start, which reaches ``run_online``'s cut at a goal
+hit; the tiny ``explore`` config with inline ``env_options.walls``; and every
+frozen bench workload at seeds 0-2. Each output file prints as one
 ``<run>/<file> <sha256>`` line, so two source trees compare with one diff:
 
     python3 scripts/output_digests.py > change.txt
@@ -40,7 +42,11 @@ def corpus(tmp: Path, shipped_runs, tiny_configs) -> list[tuple[str, dict, list[
     reacher_ff = {"env": "reacher", "env_options": {}, "model": "action-ff"}
     runs += [("tiny/online-reacher-actionff",
               {**tiny["online"], **reacher_ff, "goal": [0.4, -0.3, 0.0, 0.0]}, []),
-             ("tiny/pretrain-reacher-actionff", {**tiny["pretrain"], **reacher_ff}, [])]
+             ("tiny/pretrain-reacher-actionff", {**tiny["pretrain"], **reacher_ff}, []),
+             ("tiny/online-goal-at-start",
+              {**tiny["online"], "goal": tiny["online"]["env_options"]["start"]}, []),
+             ("tiny/explore-inline-walls",
+              {**tiny["explore"], "env_options": {"walls": [[-0.2, -0.6, 0.2, 0.6]]}}, [])]
     for path in sorted((ROOT / "bench" / "workloads").glob("*.json")):
         config = json.loads(path.read_text())
         runs += [(f"workload/{path.stem}/seed{seed}", config, ["--seed", str(seed)])

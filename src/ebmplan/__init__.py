@@ -3,9 +3,10 @@
 The package is organized bottom-up: ``nn`` (MLPs, backprop, Adam), ``energy``
 (transition/trajectory scores and the contrastive objective), ``planner``
 (smooth-noise MPPI over state trajectories), ``envs`` (particle, maze and
-two-joint arm benchmarks), ``online`` (``run_online``, the interactive
-training loop of both model kinds), ``baselines`` (action-conditioned forward
-model planned by the same MPPI kernel, random policy), and
+two-joint arm benchmarks, each with its own uniform ``random_action``),
+``online`` (``run_online``, the interactive training loop of both model
+kinds), ``baselines`` (action-conditioned forward model planned by the same
+MPPI kernel), and
 ``experiments``/``cli`` (config-driven benchmark runs). ``experiments.MODEL_KINDS``
 holds what every runner needs from each model kind, and ``online_train`` runs
 either kind through ``run_online``.
@@ -17,7 +18,6 @@ from .baselines import (
     ff_predict,
     ff_train_step,
     make_action_ff,
-    random_policy,
 )
 from .energy import (
     EnergyModel,

@@ -1,5 +1,5 @@
-"""Comparison agents: an action-conditioned forward model planned over action
-sequences, and a uniform-random policy.
+"""Comparison agent: an action-conditioned forward model planned over action
+sequences.
 
 The forward model predicts the next state from the current state and action
 and is trained by mean squared error. Its planner runs the same
@@ -10,12 +10,11 @@ through the model to obtain the predicted states that get scored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .envs import EnvSpec
 from .nn import (
     AdamState,
     MlpParams,
@@ -30,20 +29,19 @@ from .planner import PlannerConfig, mppi_refine
 
 @dataclass
 class ActionFFModel:
-    """Deterministic next-state predictor ``s' = net(s, a)``."""
+    """Deterministic next-state predictor ``s' = net(s, a)``; ``state_dim`` is the
+    net's output size and ``action_dim`` the rest of its input size."""
 
     net: MlpParams
-    state_dim: int
-    action_dim: int
+    state_dim: int = field(init=False)
+    action_dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.net.in_dim != self.state_dim + self.action_dim:
-            raise ValueError(
-                f"network in_dim {self.net.in_dim} != state_dim + action_dim "
-                f"{self.state_dim + self.action_dim}"
-            )
-        if self.net.out_dim != self.state_dim:
-            raise ValueError("network out_dim must equal state_dim")
+        self.state_dim = self.net.out_dim
+        self.action_dim = self.net.in_dim - self.net.out_dim
+        if self.action_dim < 1:
+            raise ValueError(f"a forward model maps state_dim + action_dim inputs to state_dim "
+                             f"outputs, not {self.net.in_dim} to {self.net.out_dim}")
 
 
 def make_action_ff(
@@ -53,7 +51,7 @@ def make_action_ff(
     hidden_sizes: tuple[int, ...],
 ) -> ActionFFModel:
     dims = [state_dim + action_dim, *hidden_sizes, state_dim]
-    return ActionFFModel(mlp_init(dims, rng), state_dim, action_dim)
+    return ActionFFModel(mlp_init(dims, rng))
 
 
 def ff_predict(model: ActionFFModel, state: np.ndarray, action: np.ndarray) -> np.ndarray:
@@ -99,7 +97,7 @@ def ff_train_step(
     states, actions, next_states = np.split(rows, [s_dim, s_dim + a_dim], axis=1)
     loss, grads = ff_mse_loss_and_grads(model, states, actions, next_states)
     net, new_state = adam_step(model.net, grads, adam_state, learning_rate)
-    return ActionFFModel(net, model.state_dim, model.action_dim), new_state, loss
+    return ActionFFModel(net), new_state, loss
 
 
 def _rollout(model: ActionFFModel, s_start: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
@@ -163,14 +161,4 @@ def ff_plan(
         rng,
     )
     return candidate, _rollout(model, s_start, candidate[None])[0]
-
-
-def random_policy(spec: EnvSpec, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the environment's admissible action set."""
-    if spec.kind in ("particle", "maze"):
-        # uniform over the step ball: direction uniform, radius ~ sqrt(u)
-        angle = rng.uniform(0.0, 2.0 * np.pi)
-        radius = spec.action_bound * np.sqrt(rng.uniform())
-        return radius * np.array([np.cos(angle), np.sin(angle)])
-    return rng.uniform(-spec.action_bound, spec.action_bound, size=spec.action_dim)
 

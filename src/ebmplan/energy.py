@@ -16,7 +16,7 @@ pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,20 +34,16 @@ from .nn import (
 
 @dataclass
 class EnergyModel:
-    """A scalar energy network over packed transition pairs."""
+    """A scalar energy network over packed pairs of ``state_dim = net.in_dim // 2`` states."""
 
     net: MlpParams
-    state_dim: int
+    state_dim: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.state_dim <= 0:
-            raise ValueError("state_dim must be positive")
-        if self.net.in_dim != 2 * self.state_dim:
-            raise ValueError(
-                f"network in_dim {self.net.in_dim} != 2 * state_dim {2 * self.state_dim}"
-            )
-        if self.net.out_dim != 1:
-            raise ValueError("energy network must have scalar output")
+        if self.net.in_dim % 2 or self.net.out_dim != 1:
+            raise ValueError(f"an energy network maps 2 * state_dim inputs to 1 output, "
+                             f"not {self.net.in_dim} to {self.net.out_dim}")
+        self.state_dim = self.net.in_dim // 2
 
 
 def make_energy_model(
@@ -56,7 +52,7 @@ def make_energy_model(
     hidden_sizes: tuple[int, ...],
 ) -> EnergyModel:
     dims = [2 * state_dim, *hidden_sizes, 1]
-    return EnergyModel(mlp_init(dims, rng), state_dim)
+    return EnergyModel(mlp_init(dims, rng))
 
 
 def pack_pairs(s_from: np.ndarray, s_to: np.ndarray) -> np.ndarray:
@@ -68,20 +64,14 @@ def pack_pairs(s_from: np.ndarray, s_to: np.ndarray) -> np.ndarray:
     return np.concatenate([s_from, s_to], axis=-1)
 
 
-def check_trajectory(traj: np.ndarray, state_dim: int | None = None) -> np.ndarray:
+def collate(traj: np.ndarray) -> np.ndarray:
+    """Split a trajectory of T states into its T-1 consecutive pair rows."""
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 2 or traj.shape[0] < 2:
         raise ValueError("a trajectory is a (T, state_dim) array with T >= 2")
-    if state_dim is not None and traj.shape[1] != state_dim:
-        raise ValueError(f"trajectory state_dim {traj.shape[1]} != expected {state_dim}")
     if not np.isfinite(traj).all():
         raise ValueError("trajectory contains non-finite entries")
-    return traj
-
-
-def collate(traj: np.ndarray) -> np.ndarray:
-    """Split a trajectory of T states into its T-1 consecutive pair rows."""
-    return _collate_batch(check_trajectory(traj)[None])
+    return _collate_batch(traj[None])
 
 
 def _collate_batch(trajs: np.ndarray) -> np.ndarray:
@@ -197,7 +187,7 @@ def contrastive_train_step(
     positives, negatives = batch
     loss, grads = contrastive_loss_and_grads(model, positives, negatives)
     net, new_state = adam_step(model.net, grads, adam_state, learning_rate)
-    return EnergyModel(net, model.state_dim), new_state, loss
+    return EnergyModel(net), new_state, loss
 
 
 def softmin_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -234,7 +224,7 @@ def sample_negative_pairs(
     b, width = seeds.shape
     if width != 2 * model.state_dim:
         raise ValueError(f"pair rows must have width {2 * model.state_dim}")
-    scorer = EnergyModel(model.net.astype(np.float32), model.state_dim)
+    scorer = EnergyModel(model.net.astype(np.float32))
     current = seeds.copy()
     # one draw for every iteration: the same numbers as one draw per iteration
     noises = rng.normal(0.0, scale, size=(NEGATIVE_ITERS, b, NEGATIVE_SAMPLES, width))

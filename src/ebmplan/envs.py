@@ -14,7 +14,8 @@ reproduces a reachable one-step transition exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -61,6 +62,13 @@ def particle_reward(states: np.ndarray, goal: np.ndarray) -> np.ndarray:
 def particle_inverse_dynamics(state: np.ndarray, desired: np.ndarray) -> np.ndarray:
     # Raw displacement; the environment's own clipping is applied at step time.
     return np.asarray(desired, dtype=float) - np.asarray(state, dtype=float)
+
+
+def particle_random_action(rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw from the step ball: direction uniform, radius ~ sqrt(u)."""
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    radius = PARTICLE_STEP_BOUND * np.sqrt(rng.uniform())
+    return radius * np.array([np.cos(angle), np.sin(angle)])
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +154,20 @@ def default_maze_layout() -> MazeLayout:
 # reacher
 
 
+def reacher_clip(action: np.ndarray) -> np.ndarray:
+    """Clip torques (or a (..., 2) batch of them) to the torque box."""
+    return np.clip(np.asarray(action, dtype=float), -REACHER_TORQUE_BOUND, REACHER_TORQUE_BOUND)
+
+
+def reacher_random_action(rng: np.random.Generator) -> np.ndarray:
+    """Uniform draw from the torque box."""
+    return rng.uniform(-REACHER_TORQUE_BOUND, REACHER_TORQUE_BOUND, size=2)
+
+
 def reacher_step(state: np.ndarray, action: np.ndarray) -> np.ndarray:
     """Torque-as-acceleration double integrator with clamped joint velocity."""
     state = np.asarray(state, dtype=float)
-    torque = np.clip(np.asarray(action, dtype=float), -REACHER_TORQUE_BOUND, REACHER_TORQUE_BOUND)
+    torque = reacher_clip(action)
     theta, omega = state[:2], state[2:]
     omega_new = np.clip(omega + torque * REACHER_DT, -REACHER_OMEGA_MAX, REACHER_OMEGA_MAX)
     theta_new = wrap_angle(theta + omega_new * REACHER_DT)
@@ -167,8 +185,7 @@ def reacher_inverse_dynamics(state: np.ndarray, desired: np.ndarray) -> np.ndarr
     state = np.asarray(state, dtype=float)
     desired = np.asarray(desired, dtype=float)
     omega_desired = wrap_angle(desired[:2] - state[:2]) / REACHER_DT
-    torque = (omega_desired - state[2:]) / REACHER_DT
-    return np.clip(torque, -REACHER_TORQUE_BOUND, REACHER_TORQUE_BOUND)
+    return reacher_clip((omega_desired - state[2:]) / REACHER_DT)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +198,18 @@ class EnvSpec:
 
     ``reward(states, goal)`` maps (..., state_dim) states to (...) rewards; the
     planner's ``reward`` mode and every episode score call it.
+    ``random_action(rng)`` draws uniformly from the action set that ``clip_action``
+    projects onto. Each function is module-level or a ``partial`` of one, so a spec pickles.
     """
 
-    kind: str
     state_dim: int
     action_dim: int
-    action_bound: float
     start_state: np.ndarray
     step: Callable[[np.ndarray, np.ndarray], np.ndarray]
     reward: Callable[[np.ndarray, np.ndarray], np.ndarray]
     inverse_dynamics: Callable[[np.ndarray, np.ndarray], np.ndarray]
     clip_action: Callable[[np.ndarray], np.ndarray]
+    random_action: Callable[[np.random.Generator], np.ndarray]
     maze_layout: MazeLayout | None = None
 
 
@@ -204,52 +222,38 @@ def _start_state(start, state_dim: int) -> np.ndarray:
 
 def particle_env(start: tuple[float, float] = (-0.5, -0.5)) -> EnvSpec:
     return EnvSpec(
-        kind="particle",
         state_dim=2,
         action_dim=2,
-        action_bound=PARTICLE_STEP_BOUND,
         start_state=_start_state(start, 2),
         step=particle_step,
         reward=particle_reward,
         inverse_dynamics=particle_inverse_dynamics,
-        clip_action=lambda a: clip_to_ball(a, PARTICLE_STEP_BOUND),
+        clip_action=partial(clip_to_ball, radius=PARTICLE_STEP_BOUND),
+        random_action=particle_random_action,
     )
 
 
 def maze_env(
     layout: MazeLayout | None = None, start: tuple[float, float] = (-0.5, -0.8)
 ) -> EnvSpec:
+    """The particle environment with the walls of ``layout`` blocking its steps."""
     layout = default_maze_layout() if layout is None else layout
-    start_arr = _start_state(start, 2)
-    if not layout.admissible(start_arr):
+    spec = particle_env(start)
+    if not layout.admissible(spec.start_state):
         raise ValueError("start state lies inside a wall")
-    return EnvSpec(
-        kind="maze",
-        state_dim=2,
-        action_dim=2,
-        action_bound=PARTICLE_STEP_BOUND,
-        start_state=start_arr,
-        step=lambda s, a: maze_step(s, a, layout),
-        reward=particle_reward,
-        inverse_dynamics=particle_inverse_dynamics,
-        clip_action=lambda a: clip_to_ball(a, PARTICLE_STEP_BOUND),
-        maze_layout=layout,
-    )
+    return replace(spec, step=partial(maze_step, layout=layout), maze_layout=layout)
 
 
 def reacher_env(start: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)) -> EnvSpec:
     return EnvSpec(
-        kind="reacher",
         state_dim=4,
         action_dim=2,
-        action_bound=REACHER_TORQUE_BOUND,
         start_state=_start_state(start, 4),
         step=reacher_step,
         reward=reacher_reward,
         inverse_dynamics=reacher_inverse_dynamics,
-        clip_action=lambda a: np.clip(
-            np.asarray(a, dtype=float), -REACHER_TORQUE_BOUND, REACHER_TORQUE_BOUND
-        ),
+        clip_action=reacher_clip,
+        random_action=reacher_random_action,
     )
 
 

@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 
 from ._io import write_atomic
-from .baselines import ActionFFModel, ff_plan, ff_train_step, make_action_ff, random_policy
+from .baselines import ActionFFModel, ff_plan, ff_train_step, make_action_ff
 from .energy import (
     EnergyModel,
     collate,
@@ -101,7 +101,7 @@ class ModelKind(NamedTuple):
     """What the runners need from one model kind; ``MODEL_KINDS`` holds one per kind."""
 
     make: Callable  # (state_dim, action_dim, rng, hidden_sizes) -> a fresh model
-    wrap: Callable  # (net, state_dim, action_dim) -> a model around a loaded net
+    wrap: Callable  # (net) -> a model around a loaded net, sized by the net
     target: Callable  # (spec, goal, planner_config) -> what the kind plans against
     # (spec, target, planner_config, model, state, rng) -> a planned state
     # trajectory, for run_online, or the one action to take, for evaluate_model
@@ -119,7 +119,7 @@ class ModelKind(NamedTuple):
 MODEL_KINDS = {
     "ebm": ModelKind(
         make=lambda s_dim, a_dim, rng, hidden: make_energy_model(s_dim, rng, hidden),
-        wrap=lambda net, s_dim, a_dim: EnergyModel(net, s_dim),
+        wrap=lambda net: EnergyModel(net),
         # the goal, the goal's reward or nothing, as planner.score_mode says
         target=lambda spec, goal, cfg: plan_target(spec, goal, cfg),
         trajectory=lambda spec, target, cfg, model, state, rng: plan(
@@ -136,7 +136,7 @@ MODEL_KINDS = {
     ),
     "action-ff": ModelKind(
         make=lambda s_dim, a_dim, rng, hidden: make_action_ff(s_dim, a_dim, rng, hidden),
-        wrap=lambda net, s_dim, a_dim: ActionFFModel(net, s_dim, a_dim),
+        wrap=lambda net: ActionFFModel(net),
         # The action-FF objective: the squared distance of the predicted final
         # state to the goal. It ignores planner.score_mode and goal_weight, so
         # the two kinds given one planner section plan against different objectives.
@@ -168,7 +168,7 @@ def _model_kind(name: str) -> ModelKind:
 def gen_random_dataset(
     spec: EnvSpec, n: int, rng: np.random.Generator, reset_every: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roll a uniform-random policy, resetting periodically, into (s, a, s')."""
+    """Roll ``spec.random_action``, resetting periodically, into (s, a, s')."""
     if n < 1:
         raise ValueError("dataset size must be >= 1")
     states = np.empty((n, spec.state_dim))
@@ -178,7 +178,7 @@ def gen_random_dataset(
     for i in range(n):
         if i > 0 and i % reset_every == 0:
             state = spec.start_state.copy()
-        action = random_policy(spec, rng)
+        action = spec.random_action(rng)
         nxt = spec.step(state, action)
         states[i] = state
         actions[i] = action
@@ -588,17 +588,25 @@ def _log(quiet: bool, message: str) -> None:
 
 
 def _seed_models(config: ExperimentConfig, spec: EnvSpec):
-    """seed -> the model to run: the ``model_checkpoint`` model, read here once for
-    every seed, or without a checkpoint a fresh model seeded by ``seed``."""
+    """seed -> the model to run: the ``model_checkpoint`` model, read once for every seed,
+    or a fresh model seeded by ``seed``. A missing or unreadable checkpoint, or a net of the
+    other kind or sized for another env, raises a ValueError that names the key and path."""
     kind = MODEL_KINDS[config.model]
     if config.model_checkpoint is None:
         return lambda seed: kind.make(spec.state_dim, spec.action_dim,
                                       np.random.default_rng(seed), config.hidden_sizes)
+    path = config.model_checkpoint
     try:
-        net = load_mlp(config.model_checkpoint)
+        model = kind.wrap(load_mlp(path))
     except FileNotFoundError:
-        raise ValueError(f"model_checkpoint: {config.model_checkpoint}: no such file") from None
-    model = kind.wrap(net, spec.state_dim, spec.action_dim)
+        raise ValueError(f"model_checkpoint: {path}: no such file") from None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"model_checkpoint: {path}: {exc}") from None
+    for name in ("state_dim", "action_dim"):  # an energy model has no action_dim
+        if getattr(model, name, getattr(spec, name)) != getattr(spec, name):
+            raise ValueError(f"model_checkpoint: {path}: the net's {name} is "
+                             f"{getattr(model, name)}, env {config.env!r} has "
+                             f"{getattr(spec, name)}")
     return lambda seed: model
 
 

@@ -21,6 +21,8 @@ are ``"tanh"`` (the smooth nonlinearity used for hidden layers) and
 from __future__ import annotations
 
 import io
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -276,15 +278,23 @@ def save_mlp(params: MlpParams, path: str | Path) -> None:
 
 
 def load_mlp(path: str | Path) -> MlpParams:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        n = int(data["num_layers"])
-        params = MlpParams.from_layers(
-            [data[f"w{i}"] for i in range(n)],
-            [data[f"b{i}"] for i in range(n)],
-            [str(a) for a in data["activations"]],
-        )
+    """Restore a ``save_mlp`` checkpoint; a file that is not one raises ValueError."""
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError("not an .npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                version = int(data["version"])
+                if version != CHECKPOINT_VERSION:
+                    raise ValueError(f"unsupported checkpoint version {version}")
+                n = int(data["num_layers"])
+                params = MlpParams.from_layers(
+                    [data[f"w{i}"] for i in range(n)],
+                    [data[f"b{i}"] for i in range(n)],
+                    [str(a) for a in data["activations"]],
+                )
+        except (KeyError, TypeError, zipfile.BadZipFile, zlib.error) as exc:
+            raise ValueError(f"not a checkpoint: {exc.args[0]}") from None
     params.validate()
     return params

@@ -238,7 +238,7 @@ def plan(
     s_start = np.asarray(s_start, dtype=float)
     if s_start.shape != (model.state_dim,):
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
-    score = _scorer(EnergyModel(model.net.astype(np.float32), model.state_dim), target, config)
+    score = _scorer(EnergyModel(model.net.astype(np.float32)), target, config)
 
     def clamp_start(samples: np.ndarray) -> np.ndarray:
         samples[:, 0, :] = s_start

@@ -85,18 +85,18 @@ def test_c01_gradient_suite():
         neg = rng.normal(size=(3, 4))
         _, grads = contrastive_loss_and_grads(model, pos, neg)
         numeric = fd_param_grads(
-            lambda p: contrastive_loss_and_grads(EnergyModel(p, 2), pos, neg)[0],
+            lambda p: contrastive_loss_and_grads(EnergyModel(p), pos, neg)[0],
             model.net, h=1e-5,
         )
         worst = max(worst, max_rel_error(grads, numeric))
         # forward-model mse gradients
-        ff = ActionFFModel(mlp_init([4, 6, 2], rng), 2, 2)
+        ff = ActionFFModel(mlp_init([4, 6, 2], rng))
         s = rng.uniform(-1, 1, (3, 2))
         a = rng.uniform(-0.05, 0.05, (3, 2))
         s2 = rng.uniform(-1, 1, (3, 2))
         _, grads = ff_mse_loss_and_grads(ff, s, a, s2)
         numeric = fd_param_grads(
-            lambda p: ff_mse_loss_and_grads(ActionFFModel(p, 2, 2), s, a, s2)[0],
+            lambda p: ff_mse_loss_and_grads(ActionFFModel(p), s, a, s2)[0],
             ff.net, h=1e-5,
         )
         worst = max(worst, max_rel_error(grads, numeric))
@@ -107,7 +107,7 @@ def test_c01_gradient_suite():
 
 def test_c02_mppi_oracle():
     t0 = time.time()
-    model = EnergyModel(mlp_init([4, 1], np.random.default_rng(0)), 2)
+    model = EnergyModel(mlp_init([4, 1], np.random.default_rng(0)))
     for w in model.net.weights:
         w[:] = 0.0
     config = PlannerConfig(num_samples=1000, num_iterations=50, horizon=10,

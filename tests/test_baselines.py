@@ -9,10 +9,9 @@ from ebmplan.baselines import (
     ff_predict,
     ff_train_step,
     make_action_ff,
-    random_policy,
 )
 from ebmplan.envs import make_env, particle_env
-from ebmplan.nn import MlpParams, adam_step, init_adam_state, mlp_forward
+from ebmplan.nn import MlpParams, adam_step, init_adam_state, mlp_forward, mlp_init
 from ebmplan.planner import PlannerConfig, mppi_refine
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
@@ -26,7 +25,15 @@ def exact_linear_particle_model():
     # single identity layer computing s' = s + a
     weights = np.concatenate([np.eye(2), np.eye(2)], axis=1)
     net = MlpParams.from_layers([weights], [np.zeros(2)], ["identity"])
-    return ActionFFModel(net, state_dim=2, action_dim=2)
+    return ActionFFModel(net)
+
+
+def test_action_ff_model_reads_its_sizes_from_the_net():
+    model = ActionFFModel(mlp_init([6, 8, 4], np.random.default_rng(0)))
+    assert (model.state_dim, model.action_dim) == (4, 2)
+    # as many inputs as outputs leaves no room for an action
+    with pytest.raises(ValueError):
+        ActionFFModel(mlp_init([4, 8, 4], np.random.default_rng(0)))
 
 
 def test_ff_predict_zero_model_gives_zero_state():
@@ -82,7 +89,7 @@ def test_ff_mse_gradients_match_finite_differences():
         s_next = rng.uniform(-1, 1, (4, 2))
         _, analytic = ff_mse_loss_and_grads(model, s, a, s_next)
         numeric = fd_param_grads(
-            lambda p: ff_mse_loss_and_grads(ActionFFModel(p, 2, 2), s, a, s_next)[0],
+            lambda p: ff_mse_loss_and_grads(ActionFFModel(p), s, a, s_next)[0],
             model.net,
         )
         assert max_rel_error(analytic, numeric) < 1e-4
@@ -179,7 +186,7 @@ def test_ff_plan_packed_scorer_matches_rollout_scorer():
     # the packed float32 buffer must score exactly as _rollout on a float32 copy
     spec = particle_env()
     model = make_action_ff(2, 2, np.random.default_rng(8), (16, 16))
-    scorer = ActionFFModel(model.net.astype(np.float32), 2, 2)
+    scorer = ActionFFModel(model.net.astype(np.float32))
     start, goal = np.array([0.3, 0.25]), np.array([0.65, 0.53])
 
     def rollout_distance(samples):
@@ -216,33 +223,4 @@ def test_ff_plan_raises_when_all_scores_non_finite():
     config = PlannerConfig(num_samples=8, num_iterations=2, horizon=4)
     with pytest.raises(ValueError):
         ff_plan(model, np.zeros(2), np.zeros(2), config, np.random.default_rng(1), no_clip)
-
-
-def test_random_policy_particle_stays_in_ball():
-    spec = particle_env()
-    rng = np.random.default_rng(9)
-    for _ in range(1000):
-        assert np.linalg.norm(random_policy(spec, rng)) <= 0.05 + 1e-12
-
-
-def test_random_policy_reacher_stays_in_box():
-    spec = make_env("reacher")
-    rng = np.random.default_rng(10)
-    for _ in range(1000):
-        action = random_policy(spec, rng)
-        assert (np.abs(action) <= 1.0).all()
-
-
-def test_random_policy_mean_is_near_zero():
-    spec = particle_env()
-    rng = np.random.default_rng(11)
-    draws = np.stack([random_policy(spec, rng) for _ in range(100_000)])
-    assert np.all(np.abs(draws.mean(axis=0)) < 0.005)
-
-
-def test_random_policy_deterministic_under_seed():
-    spec = particle_env()
-    a = [random_policy(spec, np.random.default_rng(12)) for _ in range(3)]
-    b = [random_policy(spec, np.random.default_rng(12)) for _ in range(3)]
-    assert np.array_equal(np.stack(a)[:1], np.stack(b)[:1])
 

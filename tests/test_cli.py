@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import struct
 import tempfile
 import warnings
 from dataclasses import MISSING, fields
@@ -13,6 +14,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ebmplan import experiments
+from ebmplan.baselines import make_action_ff
 from ebmplan.cli import main
 from ebmplan.energy import make_energy_model
 from ebmplan.experiments import EXPERIMENT_KINDS, KIND_KEYS, ExperimentConfig
@@ -367,6 +369,58 @@ def test_missing_checkpoint_exits_2_before_any_seed(command, tmp_path, capsys, m
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: model_checkpoint: {missing}: no such file\n"
     assert seeds_run == []
+    assert not out.exists()
+
+
+def write_bad_checkpoint(path, kind):
+    # a file at ``path`` that some check of the checkpoint load must reject
+    rng = np.random.default_rng(0)
+    if kind in ("other-kind", "ebm-under-action-ff"):
+        net = (make_action_ff(2, 2, rng, (8,)) if kind == "other-kind"
+               else make_energy_model(2, rng, (8,))).net
+        save_mlp(net, path)
+    elif kind == "text":
+        path.write_text("not a checkpoint\n")
+    elif kind == "corrupt-zip":
+        path.write_bytes(b"PK\x03\x04garbage")
+    elif kind == "corrupt-member":
+        # a deflated archive whose first member starts with an invalid block type
+        np.savez_compressed(path, version=np.array(1))
+        data = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack("<HH", data[26:30])
+        start = 30 + name_len + extra_len
+        data[start:start + 8] = b"\xff" * 8
+        path.write_bytes(bytes(data))
+    elif kind == "missing-keys":
+        np.savez(path, weights=np.zeros(3))
+    elif kind == "other-env":
+        save_mlp(make_energy_model(4, rng, (8, 8)).net, path)
+
+
+# kind of bad checkpoint -> (the config's model, the start of the reason given)
+BAD_CHECKPOINTS = {
+    "other-kind": ("ebm", "an energy network maps 2 * state_dim inputs to 1 output, not 4 to 2"),
+    "ebm-under-action-ff": ("action-ff", "the net's state_dim is 1, env 'particle' has 2"),
+    "text": ("ebm", "not an .npz archive"),
+    "corrupt-zip": ("ebm", "not an .npz archive"),
+    "corrupt-member": ("ebm", "not a checkpoint: "),
+    "missing-keys": ("ebm", "not a checkpoint: "),
+    "other-env": ("ebm", "the net's state_dim is 4, env 'particle' has 2"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_CHECKPOINTS)
+def test_bad_checkpoint_exits_2_naming_key_and_path(kind, tmp_path, capsys):
+    model, reason = BAD_CHECKPOINTS[kind]
+    path = tmp_path / f"{kind}.npz"
+    write_bad_checkpoint(path, kind)
+    config = {**tiny_configs(tmp_path)["eval"], "model": model, "model_checkpoint": str(path)}
+    cfg_path = write_config(tmp_path, "eval-bad.json", config)
+    out = tmp_path / "out-eval"
+    assert main(["eval", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model_checkpoint: {path}: {reason}"), err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

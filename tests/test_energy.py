@@ -15,7 +15,7 @@ from ebmplan.energy import (
     trajectory_energies,
     transition_energies,
 )
-from ebmplan.nn import adam_step, init_adam_state, mlp_forward
+from ebmplan.nn import adam_step, init_adam_state, mlp_forward, mlp_init
 from ebmplan.planner import mppi_weights
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
@@ -63,9 +63,13 @@ def test_transition_energy_dimension_mismatch_raises():
 
 
 def test_energy_model_validates_dimensions():
-    net = seeded_model(0, state_dim=3).net
+    # the state size is half the input size, so an odd input size fits no state
+    net = mlp_init([5, 8, 1], np.random.default_rng(0))
     with pytest.raises(ValueError):
-        EnergyModel(net, state_dim=2)
+        EnergyModel(net)
+    with pytest.raises(ValueError):
+        EnergyModel(mlp_init([4, 8, 2], np.random.default_rng(0)))
+    assert EnergyModel(mlp_init([6, 8, 1], np.random.default_rng(0))).state_dim == 3
 
 
 def test_trajectory_energy_single_pair():
@@ -219,7 +223,7 @@ def test_contrastive_gradients_match_finite_differences():
         neg = rng.normal(size=(4, 4))
         _, analytic = loss_fn(model, pos, neg)
         numeric = fd_param_grads(
-            lambda p: loss_fn(EnergyModel(p, 2), pos, neg)[0], model.net
+            lambda p: loss_fn(EnergyModel(p), pos, neg)[0], model.net
         )
         assert max_rel_error(analytic, numeric) < 1e-4
 
@@ -250,7 +254,7 @@ def test_contrastive_loss_decreases_over_small_steps():
         loss, grads = contrastive_loss_and_grads(model, pos, neg)
         losses.append(loss)
         net, adam = adam_step(model.net, grads, adam, 1e-4)
-        model = EnergyModel(net, model.state_dim)
+        model = EnergyModel(net)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
@@ -268,7 +272,7 @@ def test_one_step_reduces_positive_negative_gap():
     before = gap(model)
     _, grads = contrastive_loss_and_grads(model, pos, neg)
     net, _ = adam_step(model.net, grads, init_adam_state(model.net), 1e-4)
-    assert gap(EnergyModel(net, 2)) < before
+    assert gap(EnergyModel(net)) < before
 
 
 def test_collate_examples():
@@ -325,7 +329,7 @@ def test_sample_negative_pairs_leaves_model_unchanged():
 
 def test_scores_of_float32_net_are_float64_and_match_float64_net():
     model = seeded_model(86, hidden=(64, 64))
-    model32 = EnergyModel(model.net.astype(np.float32), model.state_dim)
+    model32 = EnergyModel(model.net.astype(np.float32))
     trajs = np.random.default_rng(87).normal(size=(5, 6, 2))
     goal = np.array([0.3, -0.2])
 

@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebmplan.envs import (
+    ENV_FACTORIES,
     MazeLayout,
     clip_to_ball,
     default_maze_layout,
@@ -235,6 +238,59 @@ def test_maze_layout_validation():
         MazeLayout(((-2.0, 0.0, 0.5, 0.5),))
     with pytest.raises(ValueError):
         maze_env(start=(0.0, 0.5))  # inside the default maze's first wall
+
+
+def test_random_action_particle_stays_in_ball():
+    spec = particle_env()
+    rng = np.random.default_rng(9)
+    for _ in range(1000):
+        assert np.linalg.norm(spec.random_action(rng)) <= 0.05 + 1e-12
+
+
+def test_random_action_reacher_stays_in_box():
+    spec = make_env("reacher")
+    rng = np.random.default_rng(10)
+    for _ in range(1000):
+        action = spec.random_action(rng)
+        assert (np.abs(action) <= 1.0).all()
+
+
+def test_random_action_mean_is_near_zero():
+    spec = particle_env()
+    rng = np.random.default_rng(11)
+    draws = np.stack([spec.random_action(rng) for _ in range(100_000)])
+    assert np.all(np.abs(draws.mean(axis=0)) < 0.005)
+
+
+def test_random_action_deterministic_under_seed():
+    spec = particle_env()
+    a = [spec.random_action(np.random.default_rng(12)) for _ in range(3)]
+    b = [spec.random_action(np.random.default_rng(12)) for _ in range(3)]
+    assert np.array_equal(np.stack(a)[:1], np.stack(b)[:1])
+
+
+@pytest.mark.parametrize("kind", sorted(ENV_FACTORIES))
+def test_env_spec_pickles_and_its_functions_give_identical_bytes(kind):
+    spec = make_env(kind)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone.maze_layout == spec.maze_layout
+    assert clone.start_state.tobytes() == spec.start_state.tobytes()
+    rng = np.random.default_rng(21)
+    goal = rng.uniform(-1.0, 1.0, spec.state_dim)
+    actions = rng.normal(scale=0.5, size=(30, spec.action_dim))
+    states, state = [spec.start_state], spec.start_state
+    for action in actions:
+        nxt = spec.step(state, action)
+        assert clone.step(state, action).tobytes() == nxt.tobytes()
+        desired = state + rng.normal(scale=0.03, size=spec.state_dim)
+        assert (clone.inverse_dynamics(state, desired).tobytes()
+                == spec.inverse_dynamics(state, desired).tobytes())
+        states.append(state := nxt)
+    states = np.stack(states)
+    assert clone.reward(states, goal).tobytes() == spec.reward(states, goal).tobytes()
+    assert clone.clip_action(actions).tobytes() == spec.clip_action(actions).tobytes()
+    draws = [f.random_action(np.random.default_rng(22)) for f in (spec, clone)]
+    assert draws[0].tobytes() == draws[1].tobytes()
 
 
 def test_make_env_rejects_unknown_kind():

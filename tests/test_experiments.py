@@ -6,7 +6,8 @@ import pytest
 from ebmplan import experiments
 from ebmplan.baselines import make_action_ff
 from ebmplan.energy import EnergyModel, make_energy_model, transition_energies
-from ebmplan.envs import MazeLayout, make_env, maze_env, occupancy_cells, particle_env
+from ebmplan.envs import (MazeLayout, default_maze_layout, make_env, maze_env, occupancy_cells,
+                          particle_env)
 from ebmplan.experiments import (
     CSV_HEADERS,
     MODEL_KINDS,
@@ -120,7 +121,7 @@ def test_pretrain_sequential_mode_walks_in_order():
                 negatives = sample_negative_pairs(model, positives, rng, scale=0.1)
                 loss, grads = contrastive_loss_and_grads(model, positives, negatives)
                 net, adam_state = adam_step(model.net, grads, adam_state, 1e-3)
-                model = EnergyModel(net, 2)
+                model = EnergyModel(net)
             else:
                 batch = (transitions[[i]],)
                 model, adam_state, loss = ff_train_step(model, batch, 1e-3, adam_state)
@@ -223,7 +224,7 @@ def test_energy_heatmap_even_network_is_grid_symmetric():
     b0 = np.array([-c, c, -c, c])
     w1 = np.array([[1.0, -1.0, 1.0, -1.0]])
     net = MlpParams.from_layers([w0, w1], [b0, np.zeros(1)], ["tanh", "identity"])
-    model = EnergyModel(net, 2)
+    model = EnergyModel(net)
     matrix = energy_heatmap(model, 16)
     assert np.allclose(matrix, matrix[::-1, :], atol=1e-10)  # y flip
     assert np.allclose(matrix, matrix[:, ::-1], atol=1e-10)  # x flip
@@ -348,7 +349,7 @@ def test_experiment_config_builds_envs_and_planner():
         }
     )
     spec = config.make_env()
-    assert spec.kind == "maze"
+    assert spec.maze_layout == default_maze_layout()
     assert config.planner.num_samples == 16
     online = config.online_config()
     assert online.env_step_budget == 10

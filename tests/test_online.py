@@ -366,21 +366,21 @@ def test_execute_plan_returns_the_actions_sent_to_step():
     reacher = reacher_env()
     cases = [
         # a feasible step, then hops the env caps
-        (particle_env(start=(0.0, 0.0)),
+        ("particle", particle_env(start=(0.0, 0.0)),
          np.array([[0.0, 0.0], [0.03, 0.0], [0.5, 0.0], [0.6, 0.1]])),
         # the second and third moves end inside the middle wall and are rejected
-        (maze_env(start=(0.0, -0.12)),
+        ("maze", maze_env(start=(0.0, -0.12)),
          np.array([[0.0, -0.12], [0.0, -0.08], [0.0, -0.04], [0.0, 0.0], [0.03, -0.1]])),
-        (reacher, reacher.start_state + np.concatenate(
+        ("reacher", reacher, reacher.start_state + np.concatenate(
             [np.zeros((1, 4)), rng.normal(scale=0.2, size=(5, 4))])),
     ]
-    for spec, planned in cases:
+    for name, spec, planned in cases:
         spy, sent = spied(spec)
         real, prefix, actions = execute_plan(spy, spec.start_state, planned, np.inf)
         assert actions.shape == (len(real) - 1, spec.action_dim)
-        assert actions.tobytes() == np.stack(sent).tobytes(), spec.kind
+        assert actions.tobytes() == np.stack(sent).tobytes(), name
         assert real.shape == prefix.shape == planned.shape
-        if spec.kind == "maze":
+        if name == "maze":
             blocked = (real[1:] == real[:-1]).all(axis=1)
             assert blocked.tolist() == [False, True, True, False]
 
@@ -400,9 +400,9 @@ def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
 
     monkeypatch.setattr(online, "ReplayBuffer", RecordedBuffer)
     config = tiny_config(env_step_budget=25, buffer_capacity=64)
-    cases = ((particle_env(), np.array([-0.3, -0.2]), 1e-15),
-             (reacher_env(), np.array([0.4, -0.3, 0.0, 0.0]), 0.0))
-    for spec, goal, atol in cases:
+    cases = (("particle", particle_env(), np.array([-0.3, -0.2]), 1e-15),
+             ("reacher", reacher_env(), np.array([0.4, -0.3, 0.0, 0.0]), 0.0))
+    for name, spec, goal, atol in cases:
         buffers.clear()
         spy, sent = spied(spec)
         online_train("action-ff", spy, goal, config, np.random.default_rng(7))
@@ -413,6 +413,6 @@ def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
         states, actions, nexts = rows[:, :d], rows[:, d:-d], rows[:, -d:]
         assert np.array_equal(actions, spec.clip_action(np.stack(sent)))
         for s, a, sent_a, s_next in zip(states, actions, sent, nexts):
-            assert np.array_equal(spec.step(s, sent_a), s_next), spec.kind
-            assert np.allclose(spec.clip_action(a), a, rtol=0.0, atol=atol), spec.kind
-            assert np.allclose(spec.step(s, a), s_next, rtol=0.0, atol=atol), spec.kind
+            assert np.array_equal(spec.step(s, sent_a), s_next), name
+            assert np.allclose(spec.clip_action(a), a, rtol=0.0, atol=atol), name
+            assert np.allclose(spec.step(s, a), s_next, rtol=0.0, atol=atol), name
