@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .nn import (
+    SCORING_DTYPE,
     AdamState,
     MlpParams,
     adam_step,
@@ -128,10 +129,10 @@ def ff_plan(
     and ``config.goal_weight`` are not read. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
-    The scoring rollouts use a float32 copy of the net, made once per call,
-    and step one packed float32 (state, action) buffer through it, so only the
-    final predicted states are upcast; the values are those of ``_rollout``
-    on the float32 copy. The returned rollout uses the caller's float64
+    The scoring rollouts use a ``SCORING_DTYPE`` copy of the net, made once per
+    call, and step one packed (state, action) buffer of that dtype through it,
+    so only the final predicted states are upcast; the values are those of
+    ``_rollout`` on the copy. The returned rollout uses the caller's float64
     model, which is untouched.
     """
     s_start = np.asarray(s_start, dtype=float)
@@ -140,9 +141,9 @@ def ff_plan(
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
     if goal.shape != (model.state_dim,):
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
-    scorer = model.net.astype(np.float32)
+    scorer = model.net.astype(SCORING_DTYPE)
     s_dim = model.state_dim
-    packed = np.empty((config.num_samples, s_dim + model.action_dim), dtype=np.float32)
+    packed = np.empty((config.num_samples, s_dim + model.action_dim), dtype=SCORING_DTYPE)
 
     def distance_to_goal(samples: np.ndarray) -> np.ndarray:
         # each step writes its actions beside the predicted states and overwrites

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .nn import (
+    SCORING_DTYPE,
     AdamState,
     MlpParams,
     adam_step,
@@ -84,8 +85,8 @@ def _collate_batch(trajs: np.ndarray) -> np.ndarray:
 def transition_energies(model: EnergyModel, pairs: np.ndarray) -> np.ndarray:
     """Energies of a (n, 2*state_dim) batch of packed pairs, as float64.
 
-    The net computes in its own dtype; a float32 net's energies are upcast,
-    so sums over pairs and the terms added to them stay in float64.
+    The net computes in its own dtype; a ``SCORING_DTYPE`` net's energies are
+    upcast, so sums over pairs and the terms added to them stay in float64.
     """
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 * model.state_dim:
@@ -217,14 +218,15 @@ def sample_negative_pairs(
     deviation ``scale``, weight the perturbations by exponentiated negative
     energy (temperature 1), and move to the weighted average. Used to generate
     negatives when training on a static dataset, where no planned
-    trajectories exist. Candidates are scored by a float32 copy of the net;
-    the caller's model is left untouched and the refinement runs in float64.
+    trajectories exist. Candidates are scored by a ``SCORING_DTYPE`` copy of
+    the net; the caller's model is left untouched and the refinement runs in
+    float64.
     """
     seeds = np.atleast_2d(np.asarray(seed_pairs, dtype=float))
     b, width = seeds.shape
     if width != 2 * model.state_dim:
         raise ValueError(f"pair rows must have width {2 * model.state_dim}")
-    scorer = EnergyModel(model.net.astype(np.float32))
+    scorer = EnergyModel(model.net.astype(SCORING_DTYPE))
     current = seeds.copy()
     # one draw for every iteration: the same numbers as one draw per iteration
     noises = rng.normal(0.0, scale, size=(NEGATIVE_ITERS, b, NEGATIVE_SAMPLES, width))

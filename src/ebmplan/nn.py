@@ -2,8 +2,8 @@
 
 Training is plain float64 numpy: backward, Adam and checkpoints never leave
 float64. The forward pass computes in the dtype of the parameters it is
-given, so planning-time scoring runs in float32 on an ``astype`` copy of the
-weights while the float64 originals keep every training bit.
+given, so planning-time scoring runs in ``SCORING_DTYPE`` on an ``astype``
+copy of the weights while the float64 originals keep every training bit.
 
 All of a network's parameters live in one flat vector (see ``MlpParams``),
 and gradients and Adam moments share its layout, so the Adam update, a
@@ -13,9 +13,8 @@ never mutate their inputs, and ``adam_step`` returns fresh parameter and
 optimizer-state objects, so shared parameters are safe to read concurrently.
 
 Layer convention: weight matrices are (out_dim, in_dim), a batch is one row
-per sample, and a layer computes ``act(x @ W.T + b)``. Supported activations
-are ``"tanh"`` (the smooth nonlinearity used for hidden layers) and
-``"identity"``.
+per sample, and every network has one form: each hidden layer computes
+``tanh(x @ W.T + b)`` and the output layer is linear, ``x @ W.T + b``.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ import numpy as np
 
 from ._io import write_atomic
 
-ACTIVATIONS = ("tanh", "identity")
+# the dtype that planners and the negative sampler score candidates in
+SCORING_DTYPE = np.float32
 # Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -40,19 +40,17 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class MlpParams:
-    """The weights, biases and per-layer activation names of a dense MLP.
+    """The weights and biases of a dense MLP: tanh hidden layers, linear output.
 
     Every parameter lives in one flat vector: per layer, the (out_dim, in_dim)
     weight in row-major order, then the bias. ``shapes`` lists the weight
     shapes. ``weights`` and ``biases`` are views into ``flat``, built once per
-    object, so writing through them changes ``flat``. Gradients and Adam
-    moments use the same type, so each whole-network operation is one array
-    operation on ``flat``.
+    object, so writing through them changes ``flat``. Gradients use the same
+    type, so each whole-network operation is one array operation on ``flat``.
     """
 
     flat: np.ndarray
     shapes: tuple[tuple[int, int], ...]
-    activations: list[str]
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
@@ -68,19 +66,19 @@ class MlpParams:
             raise ValueError(f"flat parameters of shape {self.flat.shape} != ({end},)")
 
     @classmethod
-    def from_layers(cls, weights, biases, activations) -> "MlpParams":
+    def from_layers(cls, weights, biases) -> "MlpParams":
         """Pack per-layer weights and biases into one flat vector (a copy)."""
-        if not (len(weights) == len(biases) == len(activations) >= 1):
-            raise ValueError("weights, biases and activations must align and be non-empty")
+        if not (len(weights) == len(biases) >= 1):
+            raise ValueError("weights and biases must align and be non-empty")
         for i, (w, b) in enumerate(zip(weights, biases)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} do not match")
         flat = np.concatenate([a.ravel() for w, b in zip(weights, biases) for a in (w, b)])
-        return cls(flat, tuple(w.shape for w in weights), list(activations))
+        return cls(flat, tuple(w.shape for w in weights))
 
     def like(self, flat: np.ndarray) -> "MlpParams":
         """The same layers over another flat vector, which is not copied."""
-        return MlpParams(flat, self.shapes, list(self.activations))
+        return MlpParams(flat, self.shapes)
 
     @property
     def in_dim(self) -> int:
@@ -95,12 +93,8 @@ class MlpParams:
         return len(self.shapes)
 
     def validate(self) -> None:
-        if not (len(self.activations) == self.num_layers >= 1):
-            raise ValueError("layer shapes and activations must align and be non-empty")
-        for i, act in enumerate(self.activations):
-            if act not in ACTIVATIONS:
-                raise ValueError(f"layer {i}: unknown activation {act!r}")
-            if i > 0 and self.shapes[i][1] != self.shapes[i - 1][0]:
+        for i in range(1, self.num_layers):
+            if self.shapes[i][1] != self.shapes[i - 1][0]:
                 raise ValueError(
                     f"layer {i}: in_dim {self.shapes[i][1]} != previous out_dim "
                     f"{self.shapes[i - 1][0]}"
@@ -115,8 +109,10 @@ class MlpParams:
 
 @dataclass
 class AdamState:
-    first: MlpParams
-    second: MlpParams
+    """Adam's first and second moments, flat arrays in ``MlpParams.flat``'s layout."""
+
+    first: np.ndarray
+    second: np.ndarray
     step_count: int = 0
 
 
@@ -129,24 +125,18 @@ def mlp_init(layer_dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     """
     if len(layer_dims) < 2:
         raise ValueError("need at least an input and an output dimension")
-    weights, biases, acts = [], [], []
-    for i in range(len(layer_dims) - 1):
-        fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-        acts.append("identity" if i == len(layer_dims) - 2 else "tanh")
-    params = MlpParams.from_layers(weights, biases, acts)
+    params = MlpParams.from_layers(weights, biases)
     params.validate()
     return params
 
 
-def zero_grads(params: MlpParams) -> MlpParams:
-    return params.like(np.zeros_like(params.flat))
-
-
 def init_adam_state(params: MlpParams) -> AdamState:
-    return AdamState(zero_grads(params), zero_grads(params), 0)
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0)
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -162,22 +152,20 @@ def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, li
 
     Computes in the dtype of ``params``; the batch is cast to it. The cache
     holds the input followed by every layer output and is exactly what
-    ``backward`` needs. Each layer adds its bias and applies its activation
-    in place on the fresh product ``out @ W.T``, the only array it writes, so
-    the batch and earlier cache entries are never modified.
+    ``backward`` needs. Each layer adds its bias, and each hidden layer its
+    tanh, in place on the fresh product ``out @ W.T``, the only array it
+    writes, so the batch and earlier cache entries are never modified.
     """
     batch = _check_input(params, batch)
     if batch.ndim != 2:
         raise ValueError("forward_cached expects a (n, in_dim) batch")
     cache = [batch]
     out = batch
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         out = out @ w.T
         out += b
-        if act == "tanh":
+        if i < params.num_layers - 1:
             np.tanh(out, out=out)
-        elif act != "identity":
-            raise ValueError(f"unknown activation {act!r}")
         cache.append(out)
     return out, cache
 
@@ -204,12 +192,9 @@ def backward(
         raise ValueError(f"cotangent shape {g.shape} != output shape {cache[-1].shape}")
     grads = params.like(np.empty_like(params.flat))
     for i in range(params.num_layers - 1, -1, -1):
-        act = params.activations[i]
-        if act == "tanh":
+        if i < params.num_layers - 1:
             # tanh'(z) = 1 - tanh(z)^2, recoverable from the cached layer output
             g = g * (1.0 - cache[i + 1] * cache[i + 1])
-        elif act != "identity":
-            raise ValueError(f"unknown activation {act!r}")
         np.matmul(g.T, cache[i], out=grads.weights[i])
         g.sum(axis=0, out=grads.biases[i])
         g = g @ params.weights[i]
@@ -230,12 +215,12 @@ def adam_step(
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     g = grads.flat
-    m = b1 * state.first.flat + (1 - b1) * g
-    v = b2 * state.second.flat + (1 - b2) * g * g
+    m = b1 * state.first + (1 - b1) * g
+    v = b2 * state.second + (1 - b2) * g * g
     m_hat = m / (1 - b1**t)
     v_hat = v / (1 - b2**t)
     flat = params.flat - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return params.like(flat), AdamState(params.like(m), params.like(v), t)
+    return params.like(flat), AdamState(m, v, t)
 
 
 def param_norm(params: MlpParams) -> float:
@@ -258,6 +243,11 @@ def check_update(update: str, loss: float, params: MlpParams, initial_norm: floa
 CHECKPOINT_VERSION = 1
 
 
+def _layer_forms(num_layers: int) -> list[str]:
+    # the checkpoint's ``activations`` entry: tanh hidden layers, identity output
+    return ["tanh"] * (num_layers - 1) + ["identity"]
+
+
 def save_mlp(params: MlpParams, path: str | Path) -> None:
     """Write a versioned binary checkpoint; ``load_mlp`` restores it bit-exactly.
 
@@ -267,7 +257,7 @@ def save_mlp(params: MlpParams, path: str | Path) -> None:
     arrays: dict[str, np.ndarray] = {
         "version": np.array(CHECKPOINT_VERSION),
         "num_layers": np.array(params.num_layers),
-        "activations": np.array(params.activations),
+        "activations": np.array(_layer_forms(params.num_layers)),
     }
     for i in range(params.num_layers):
         arrays[f"w{i}"] = params.weights[i]
@@ -289,10 +279,11 @@ def load_mlp(path: str | Path) -> MlpParams:
                 if version != CHECKPOINT_VERSION:
                     raise ValueError(f"unsupported checkpoint version {version}")
                 n = int(data["num_layers"])
+                forms = [str(a) for a in data["activations"]]
+                if forms != _layer_forms(n):
+                    raise ValueError(f"activations {forms} are not {_layer_forms(n)}")
                 params = MlpParams.from_layers(
-                    [data[f"w{i}"] for i in range(n)],
-                    [data[f"b{i}"] for i in range(n)],
-                    [str(a) for a in data["activations"]],
+                    [data[f"w{i}"] for i in range(n)], [data[f"b{i}"] for i in range(n)]
                 )
         except (KeyError, TypeError, zipfile.BadZipFile, zlib.error) as exc:
             raise ValueError(f"not a checkpoint: {exc.args[0]}") from None

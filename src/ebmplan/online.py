@@ -40,13 +40,6 @@ class ReplayBuffer:
         self._next = 0  # ring slot the next row is written to
         self._size = 0
 
-    def __len__(self) -> int:
-        return self._size
-
-    def _slots(self, idx: np.ndarray) -> np.ndarray:
-        # logical (oldest-first) indices -> ring slots
-        return (self._next - self._size + idx) % self.capacity
-
     def add(self, rows: np.ndarray) -> None:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if self._rows is None:
@@ -65,7 +58,8 @@ class ReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self._size, size=n)
-        return self._rows[self._slots(idx)]
+        # logical (oldest-first) indices -> ring slots
+        return self._rows[(self._next - self._size + idx) % self.capacity]
 
     def with_replay(
         self, fresh: np.ndarray, n: int | None, rng: np.random.Generator
@@ -77,12 +71,6 @@ class ReplayBuffer:
         if self._size == 0:
             return fresh
         return np.concatenate([fresh, self.sample(len(fresh) if n is None else n, rng)])
-
-    def as_array(self) -> np.ndarray:
-        """The stored rows, oldest first."""
-        if self._size == 0:
-            return np.empty((0, 0))
-        return self._rows[self._slots(np.arange(self._size))]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,11 @@ import numpy as np
 
 from .energy import EnergyModel, goal_scores, reward_scores, softmin_weights, trajectory_energies
 from .envs import EnvSpec
+from .nn import SCORING_DTYPE
 
 SCORE_MODES = ("gaussian-goal", "reward", "prior-only")
+# the factor the noise scale shrinks by each MPPI iteration
+NOISE_DECAY = 0.92
 
 
 @dataclass(frozen=True)
@@ -33,7 +36,7 @@ class PlannerConfig:
     """MPPI hyperparameters.
 
     ``noise_scale`` multiplies the smooth-noise covariance directly and is
-    decayed geometrically by ``noise_decay`` each iteration, which anneals the
+    decayed geometrically by ``NOISE_DECAY`` each iteration, which anneals the
     candidate from coarse exploration to fine convergence.
     """
 
@@ -44,7 +47,6 @@ class PlannerConfig:
     goal_weight: float = 1.0
     score_mode: str = "gaussian-goal"
     temperature: float = 1.0
-    noise_decay: float = 0.92
 
     def __post_init__(self) -> None:
         if self.num_samples < 1:
@@ -61,8 +63,6 @@ class PlannerConfig:
             raise ValueError(f"score_mode must be one of {SCORE_MODES}")
         if not self.temperature > 0:
             raise ValueError("temperature must be positive")
-        if not 0 < self.noise_decay <= 1:
-            raise ValueError("noise_decay must lie in (0, 1]")
 
 
 def finite_difference_matrix(horizon: int) -> np.ndarray:
@@ -160,7 +160,7 @@ def mppi_refine(
     them with ``score`` (lower is better), and replaces the candidate by the
     MPPI-weighted average. Samples with non-finite scores get weight zero; if
     every score is non-finite the kernel raises. The noise scale decays by
-    ``noise_decay`` per iteration.
+    ``NOISE_DECAY`` per iteration.
 
     The noise of every iteration is drawn up front in one call, which gives
     the same numbers and the same final ``rng`` state as one draw per
@@ -173,7 +173,7 @@ def mppi_refine(
     scale = config.noise_scale
     for k in range(config.num_iterations):
         scales[k] = scale
-        scale *= config.noise_decay
+        scale *= NOISE_DECAY
     noises = SmoothNoiseGen(horizon, dim).sample(scales, rng, n=config.num_samples)
     for noise in noises:
         samples = project(candidate[None] + noise)
@@ -231,14 +231,15 @@ def plan(
     non-finite scores get weight zero; if every score is non-finite the
     planner raises.
 
-    Samples are scored by a float32 copy of the net, made once per call; the
-    caller's model is left untouched, and scores and weights stay float64.
+    Samples are scored by a ``SCORING_DTYPE`` copy of the net, made once per
+    call; the caller's model is left untouched, and scores and weights stay
+    float64.
     Deterministic given the model, inputs and generator state.
     """
     s_start = np.asarray(s_start, dtype=float)
     if s_start.shape != (model.state_dim,):
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
-    score = _scorer(EnergyModel(model.net.astype(np.float32)), target, config)
+    score = _scorer(EnergyModel(model.net.astype(SCORING_DTYPE)), target, config)
 
     def clamp_start(samples: np.ndarray) -> np.ndarray:
         samples[:, 0, :] = s_start

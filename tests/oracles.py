@@ -12,15 +12,17 @@ from ebmplan.nn import MlpParams
 
 
 def naive_mlp_forward(params: MlpParams, x) -> list[float]:
-    """Straight-line scalar re-evaluation of an MLP forward pass."""
+    """Straight-line scalar re-evaluation of an MLP forward pass: tanh on every
+    layer but the last, which is linear."""
     values = [float(v) for v in x]
-    for w, b, act in zip(params.weights, params.biases, params.activations):
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        hidden = layer < len(params.weights) - 1
         nxt = []
         for i in range(w.shape[0]):
             acc = float(b[i])
             for j in range(w.shape[1]):
                 acc += float(w[i, j]) * values[j]
-            nxt.append(math.tanh(acc) if act == "tanh" else acc)
+            nxt.append(math.tanh(acc) if hidden else acc)
         values = nxt
     return values
 
@@ -51,7 +53,7 @@ def fd_param_grads(loss_fn, params: MlpParams, h: float = 1e-5) -> MlpParams:
             down = loss_fn(perturbed("b", layer, index, -h))
             g[index] = (up - down) / (2 * h)
         grads_b.append(g)
-    return MlpParams.from_layers(grads_w, grads_b, params.activations)
+    return MlpParams.from_layers(grads_w, grads_b)
 
 
 def max_rel_error(analytic: MlpParams, numeric: MlpParams, floor: float = 1e-6) -> float:

@@ -24,7 +24,7 @@ def no_clip(actions):
 def exact_linear_particle_model():
     # single identity layer computing s' = s + a
     weights = np.concatenate([np.eye(2), np.eye(2)], axis=1)
-    net = MlpParams.from_layers([weights], [np.zeros(2)], ["identity"])
+    net = MlpParams.from_layers([weights], [np.zeros(2)])
     return ActionFFModel(net)
 
 

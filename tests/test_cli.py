@@ -203,6 +203,7 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"bogus": 1}, "bogus"),
         ({"online": {"bogus": 1}}, "online"),
         ({"planner": {"bogus": 1}}, "planner"),
+        ({"planner": {"noise_decay": 0.92}}, "planner.noise_decay"),
         ({"planner": {"noise_scale": "0.01"}}, "planner"),
         ({"online": {"env_step_budget": "12"}}, "online"),
         ({"online": {"goal_tolerance": "0.05"}}, "online.goal_tolerance"),
@@ -395,6 +396,13 @@ def write_bad_checkpoint(path, kind):
         np.savez(path, weights=np.zeros(3))
     elif kind == "other-env":
         save_mlp(make_energy_model(4, rng, (8, 8)).net, path)
+    elif kind == "other-form":
+        # today's format, but with a linear hidden layer, a form no net runs in
+        net = make_energy_model(2, rng, (8,)).net
+        layers = {f"{name}{i}": arrays[i] for i in range(net.num_layers)
+                  for name, arrays in (("w", net.weights), ("b", net.biases))}
+        np.savez(path, version=np.array(1), num_layers=np.array(net.num_layers),
+                 activations=np.array(["identity", "identity"]), **layers)
 
 
 # kind of bad checkpoint -> (the config's model, the start of the reason given)
@@ -406,6 +414,7 @@ BAD_CHECKPOINTS = {
     "corrupt-member": ("ebm", "not a checkpoint: "),
     "missing-keys": ("ebm", "not a checkpoint: "),
     "other-env": ("ebm", "the net's state_dim is 4, env 'particle' has 2"),
+    "other-form": ("ebm", "activations ['identity', 'identity'] are not ['tanh', 'identity']"),
 }
 
 

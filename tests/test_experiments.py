@@ -223,7 +223,7 @@ def test_energy_heatmap_even_network_is_grid_symmetric():
     w0[2, 1], w0[3, 1] = a, a
     b0 = np.array([-c, c, -c, c])
     w1 = np.array([[1.0, -1.0, 1.0, -1.0]])
-    net = MlpParams.from_layers([w0, w1], [b0, np.zeros(1)], ["tanh", "identity"])
+    net = MlpParams.from_layers([w0, w1], [b0, np.zeros(1)])
     model = EnergyModel(net)
     matrix = energy_heatmap(model, 16)
     assert np.allclose(matrix, matrix[::-1, :], atol=1e-10)  # y flip

@@ -14,7 +14,6 @@ from ebmplan.nn import (
     mlp_forward,
     mlp_init,
     save_mlp,
-    zero_grads,
 )
 from oracles import fd_param_grads, fd_vector_grad, max_rel_error, naive_mlp_forward
 
@@ -32,7 +31,7 @@ def test_forward_zero_parameters_is_zero_map():
 
 
 def test_forward_single_identity_layer():
-    net = MlpParams.from_layers([np.array([[1.0, 1.0]])], [np.array([0.0])], ["identity"])
+    net = MlpParams.from_layers([np.array([[1.0, 1.0]])], [np.array([0.0])])
     assert mlp_forward(net, np.array([2.0, 3.0]))[0] == 5.0
 
 
@@ -85,9 +84,9 @@ def test_forward_cached_is_bit_identical_to_out_of_place_reference():
             assert np.array_equal(x, snapshot)
             assert cache[0] is x
             expected = [x]
-            for w, b, act in zip(params.weights, params.biases, params.activations):
+            for i, (w, b) in enumerate(zip(params.weights, params.biases)):
                 z = expected[-1] @ w.T + b
-                expected.append(np.tanh(z) if act == "tanh" else z)
+                expected.append(np.tanh(z) if i < params.num_layers - 1 else z)
             assert out is cache[-1]
             assert len(cache) == len(expected)
             for got, want in zip(cache, expected):
@@ -104,8 +103,7 @@ def test_astype_returns_fresh_arrays():
             assert dst.dtype == dtype
             assert not np.shares_memory(src, dst)
             assert np.array_equal(dst, src.astype(dtype))
-        assert cast.activations == net.activations
-        assert cast.activations is not net.activations
+        assert cast.shapes == net.shapes
 
 
 def test_forward_dimension_mismatch_raises():
@@ -119,7 +117,6 @@ def test_params_validation_catches_broken_chain():
         MlpParams.from_layers(
             [np.zeros((4, 3)), np.zeros((2, 5))],
             [np.zeros(4), np.zeros(2)],
-            ["tanh", "identity"],
         ).validate()
 
 
@@ -133,9 +130,7 @@ def test_gradients_zero_cotangent_are_zero():
 
 
 def test_gradients_identity_layer_outer_product():
-    net = MlpParams.from_layers(
-        [np.array([[0.3, -0.2], [1.0, 0.5]])], [np.zeros(2)], ["identity"]
-    )
+    net = MlpParams.from_layers([np.array([[0.3, -0.2], [1.0, 0.5]])], [np.zeros(2)])
     x = np.array([2.0, -1.0])
     cot = np.array([0.7, -0.4])
     grads, x_cot = backward(net, forward_cached(net, x[None])[1], cot[None])
@@ -173,7 +168,7 @@ def test_gradient_check_random_nets_within_spec_tolerance():
 def test_adam_zero_gradients_zero_moments_is_identity():
     net = small_net(9)
     state = init_adam_state(net)
-    new_net, new_state = adam_step(net, zero_grads(net), state, 1e-3)
+    new_net, new_state = adam_step(net, net.like(np.zeros_like(net.flat)), state, 1e-3)
     for a, b in zip(new_net.weights, net.weights):
         assert np.array_equal(a, b)
     for a, b in zip(new_net.biases, net.biases):
@@ -184,8 +179,8 @@ def test_adam_zero_gradients_zero_moments_is_identity():
 def test_adam_single_step_hand_computed():
     # theta = 0, g = 1, fresh state, lr = 0.1:
     # m_hat = 1, v_hat = 1, theta' = -0.1 / (1 + eps)
-    net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])], ["identity"])
-    grads = MlpParams.from_layers([np.array([[1.0]])], [np.array([0.0])], ["identity"])
+    net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])])
+    grads = MlpParams.from_layers([np.array([[1.0]])], [np.array([0.0])])
     new_net, state = adam_step(net, grads, init_adam_state(net), 0.1)
     expected = -0.1 / (1.0 + ADAM_EPSILON)
     assert abs(new_net.weights[0][0, 0] - expected) < 1e-15
@@ -195,20 +190,21 @@ def test_adam_single_step_hand_computed():
 def test_adam_two_identical_steps_accumulate_first_moments():
     # m_t = (1 - beta1^t) * g for constant gradient g
     g = 0.37
-    net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])], ["identity"])
-    grads = MlpParams.from_layers([np.array([[g]])], [np.array([0.0])], ["identity"])
+    net = MlpParams.from_layers([np.array([[0.0]])], [np.array([0.0])])
+    grads = MlpParams.from_layers([np.array([[g]])], [np.array([0.0])])
     state = init_adam_state(net)
     net, state = adam_step(net, grads, state, 1e-3)
-    assert np.isclose(state.first.weights[0][0, 0], (1 - 0.9) * g, rtol=1e-12)
+    assert np.isclose(state.first[0], (1 - 0.9) * g, rtol=1e-12)
     net, state = adam_step(net, grads, state, 1e-3)
-    assert np.isclose(state.first.weights[0][0, 0], (1 - 0.9**2) * g, rtol=1e-12)
+    assert np.isclose(state.first[0], (1 - 0.9**2) * g, rtol=1e-12)
 
 
 def test_adam_shape_mismatch_raises():
     # gradients of another layout, with the same parameter count (32) and not
     net = small_net(2)
     for dims in ((2, 6, 2), (3, 4, 2)):
-        grads = zero_grads(small_net(2, dims=dims))
+        other = small_net(2, dims=dims)
+        grads = other.like(np.zeros_like(other.flat))
         with pytest.raises(ValueError, match="shapes"):
             adam_step(net, grads, init_adam_state(net), 1e-3)
 
@@ -219,7 +215,7 @@ def test_adam_hyper_validation():
     net = small_net(2)
     for learning_rate in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="learning_rate"):
-            adam_step(net, zero_grads(net), init_adam_state(net), learning_rate)
+            adam_step(net, net.like(np.zeros_like(net.flat)), init_adam_state(net), learning_rate)
     assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
 
@@ -245,7 +241,10 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     path = tmp_path / "net.npz"
     save_mlp(net, path)
     loaded = load_mlp(path)
-    assert loaded.activations == net.activations
+    assert loaded.shapes == net.shapes
+    # the file names each layer's form: tanh hidden layers, identity output
+    with np.load(path) as data:
+        assert data["activations"].tolist() == ["tanh", "tanh", "identity"]
     for a, b in zip(loaded.weights, net.weights):
         assert np.array_equal(a, b)
     for a, b in zip(loaded.biases, net.biases):
@@ -283,7 +282,10 @@ def test_adam_step_is_the_per_layer_update_bit_for_bit():
                 params, grads.weights + grads.biases, first, second, t, learning_rate
             )
             assert state.step_count == t
-            for got, want in ((net, params), (state.first, first), (state.second, second)):
+            # the moments are plain arrays in the layout of ``flat``
+            assert state.first.shape == state.second.shape == net.flat.shape
+            moments = (net.like(state.first), net.like(state.second))
+            for got, want in ((net, params), (moments[0], first), (moments[1], second)):
                 for a, b in zip(got.weights + got.biases, want):
                     assert np.array_equal(a, b), (dims, t)
 
@@ -300,7 +302,7 @@ def test_backward_gradients_are_the_per_layer_products_bit_for_bit():
             grads, x_cot = backward(net, cache, cot)
             g = cot
             for i in range(net.num_layers - 1, -1, -1):
-                if net.activations[i] == "tanh":
+                if i < net.num_layers - 1:
                     g = g * (1.0 - cache[i + 1] * cache[i + 1])
                 assert np.array_equal(grads.weights[i], g.T @ cache[i])
                 assert np.array_equal(grads.biases[i], g.sum(axis=0))
@@ -326,4 +328,4 @@ def test_layer_views_share_the_flat_vector():
         with pytest.raises(ValueError):
             net.like(np.zeros(size))
     with pytest.raises(ValueError):
-        MlpParams.from_layers([np.zeros((4, 3))], [np.zeros(3)], ["identity"])
+        MlpParams.from_layers([np.zeros((4, 3))], [np.zeros(3)])

@@ -73,15 +73,21 @@ def test_execute_plan_rejects_mismatched_start():
         execute_plan(spec, np.array([0.1, 0.0]), planned, 0.1)
 
 
+def assert_holds(buf, rows, seed=0):
+    # a seeded draw picks rows by their oldest-first index, so 200 draws that
+    # reach every index show the buffer's length, order and content
+    idx = np.random.default_rng(seed).integers(0, len(rows), size=200)
+    assert set(idx.tolist()) == set(range(len(rows)))
+    assert np.array_equal(buf.sample(200, np.random.default_rng(seed)), rows[idx])
+
+
 def test_replay_buffer_fifo_eviction_and_capacity():
     buf = ReplayBuffer(capacity=5)
     rows = np.arange(16, dtype=float).reshape(8, 2)
     buf.add(rows)
-    assert len(buf) == 5
-    assert np.array_equal(buf.as_array()[0], rows[3])  # oldest surviving row
+    assert_holds(buf, rows[3:])  # rows[3] is the oldest surviving row
     buf.add(rows[:1])
-    assert len(buf) == 5
-    assert np.array_equal(buf.as_array()[0], rows[4])
+    assert_holds(buf, np.concatenate([rows[4:], rows[:1]]))
 
 
 def test_replay_buffer_matches_deque_reference_across_wraparound():
@@ -93,8 +99,7 @@ def test_replay_buffer_matches_deque_reference_across_wraparound():
         rows = rng.normal(size=(size, 3))
         buf.add(rows)
         reference.extend(row.copy() for row in rows)
-        assert len(buf) == len(reference)
-        assert np.array_equal(buf.as_array(), np.stack(reference))
+        assert_holds(buf, np.stack(reference), seed=size + 100)
         idx = np.random.default_rng(size).integers(0, len(reference), size=5)
         expected = np.stack([reference[i] for i in idx])
         assert np.array_equal(buf.sample(5, np.random.default_rng(size)), expected)
@@ -226,8 +231,8 @@ def test_contrastive_train_step_is_loss_grads_then_adam():
     want_net, want_state = adam_step(model.net, grads, state, 0.01)
     assert loss == want_loss
     assert np.array_equal(new_model.net.flat, want_net.flat)
-    assert np.array_equal(new_state.first.flat, want_state.first.flat)
-    assert np.array_equal(new_state.second.flat, want_state.second.flat)
+    assert np.array_equal(new_state.first, want_state.first)
+    assert np.array_equal(new_state.second, want_state.second)
     assert new_state.step_count == want_state.step_count == 1
     assert new_model.state_dim == model.state_dim
 
@@ -396,7 +401,12 @@ def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
     class RecordedBuffer(ReplayBuffer):
         def __init__(self, capacity):
             super().__init__(capacity)
+            self.added = []
             buffers.append(self)
+
+        def add(self, rows):
+            self.added.append(np.array(rows))
+            super().add(rows)
 
     monkeypatch.setattr(online, "ReplayBuffer", RecordedBuffer)
     config = tiny_config(env_step_budget=25, buffer_capacity=64)
@@ -407,7 +417,7 @@ def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
         spy, sent = spied(spec)
         online_train("action-ff", spy, goal, config, np.random.default_rng(7))
         (buffer,) = buffers
-        rows = buffer.as_array()
+        rows = np.concatenate(buffer.added)
         assert len(rows) == len(sent) == config.env_step_budget
         d = spec.state_dim
         states, actions, nexts = rows[:, :d], rows[:, d:-d], rows[:, -d:]

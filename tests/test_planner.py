@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from ebmplan.energy import EnergyModel, make_energy_model
 from ebmplan.envs import make_env
+from ebmplan.experiments import ExperimentConfig
 from ebmplan.planner import (
+    NOISE_DECAY,
     PlannerConfig,
     SmoothNoiseGen,
     finite_difference_matrix,
@@ -142,7 +144,7 @@ def reference_refine(candidate, project, score, config, rng):
         samples = project(candidate[None] + noise)
         weights = mppi_weights(score(samples), config.temperature)
         candidate = np.einsum("n,ntd->td", weights, samples)
-        scale *= config.noise_decay
+        scale *= NOISE_DECAY
     return candidate
 
 
@@ -157,7 +159,7 @@ def test_mppi_refine_one_noise_draw_matches_per_iteration_draws():
         return ((samples - target) ** 2).sum(axis=(1, 2))
 
     # T = 1 takes the isotropic path; the decayed scales must be the repeated
-    # product, which differs from noise_scale * noise_decay ** k in the last bit
+    # product, which differs from noise_scale * NOISE_DECAY ** k in the last bit
     config = PlannerConfig(num_samples=24, num_iterations=8, noise_scale=0.05, temperature=0.2)
     for horizon in (1, 2, 7):
         candidate = np.zeros((horizon, 2))
@@ -342,8 +344,11 @@ def test_planner_config_validation():
         PlannerConfig(noise_scale=0.0)
     with pytest.raises(ValueError):
         PlannerConfig(score_mode="nonsense")
-    with pytest.raises(ValueError):
-        PlannerConfig(noise_decay=0.0)
+    # the noise decay is the constant NOISE_DECAY, so a config that sets it is refused
+    with pytest.raises(ValueError, match=r"unknown config keys: \['planner.noise_decay'\]"):
+        ExperimentConfig.from_dict(
+            {"kind": "online", "goal": [0.2, 0.0], "planner": {"noise_decay": 0.0}}
+        )
 
 
 FINITE = st.floats(-1e6, 1e6)
