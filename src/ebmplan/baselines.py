@@ -67,6 +67,11 @@ def ff_predict(model: ActionFFModel, state: np.ndarray, action: np.ndarray) -> n
     return mlp_forward(model.net, np.concatenate([state, action], axis=-1))
 
 
+def pack_transitions(states, actions, next_states) -> np.ndarray:
+    """Concatenate n aligned states, actions and next states into n ``(s, a, s')`` rows."""
+    return np.concatenate([states, actions, next_states], axis=1)
+
+
 def ff_mse_loss_and_grads(model: ActionFFModel, states, actions, next_states):
     """Mean squared prediction error over the batch and its exact gradients."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -91,7 +96,7 @@ def ff_train_step(
 ) -> tuple[ActionFFModel, AdamState, float]:
     """One Adam step on the mean squared next-state prediction error.
 
-    ``batch`` holds one array of packed ``(s, a, s')`` rows.
+    ``batch`` holds one array of ``pack_transitions`` rows.
     """
     (rows,) = batch
     s_dim, a_dim = model.state_dim, model.action_dim

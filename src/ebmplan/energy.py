@@ -200,6 +200,31 @@ def softmin_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+def perturb_and_reweight(
+    current: np.ndarray,
+    noises: np.ndarray,
+    project: Callable[[np.ndarray], np.ndarray],
+    score: Callable[[np.ndarray], np.ndarray],
+    weigh: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Refine K independent (K, *item) problems by iterated perturb-and-reweight.
+
+    ``noises`` is (iters, K, n, *item), drawn by the caller. Each iteration
+    adds its noise to every problem's current item, maps the K * n samples
+    through ``project`` (which may modify its argument in place), scores them
+    with ``score`` (K * n values, lower is better), turns the (K, n) scores
+    into weights with ``weigh`` (each row summing to 1), and moves each
+    problem to the weighted average of its own samples. Problem k's result
+    is, bit for bit, what a call with problem k alone gives.
+    """
+    k, n, *item = noises.shape[1:]
+    for noise in noises:
+        samples = project((current[:, None] + noise).reshape(k * n, *item))
+        weights = weigh(score(samples).reshape(k, n))
+        current = np.einsum("kn,knw->kw", weights, samples.reshape(k, n, -1)).reshape(k, *item)
+    return current
+
+
 # the negative sampler's perturbations per seed row and its iterations
 NEGATIVE_SAMPLES = 16
 NEGATIVE_ITERS = 5
@@ -211,28 +236,22 @@ def sample_negative_pairs(
     rng: np.random.Generator,
     scale: float,
 ) -> np.ndarray:
-    """Draw low-energy pairs from the model by iterated perturb-and-reweight.
+    """Low-energy pairs drawn from the model by ``perturb_and_reweight``: the
+    negatives for training on a static dataset, where no plans exist.
 
-    Each seed row is refined independently, for ``NEGATIVE_ITERS`` iterations:
-    perturb it with ``NEGATIVE_SAMPLES`` isotropic Gaussian draws of standard
-    deviation ``scale``, weight the perturbations by exponentiated negative
-    energy (temperature 1), and move to the weighted average. Used to generate
-    negatives when training on a static dataset, where no planned
-    trajectories exist. Candidates are scored by a ``SCORING_DTYPE`` copy of
-    the net; the caller's model is left untouched and the refinement runs in
-    float64.
+    Each seed row is one problem, with ``NEGATIVE_SAMPLES`` isotropic Gaussian
+    draws of standard deviation ``scale`` for each of ``NEGATIVE_ITERS``
+    iterations, no projection, and ``softmin_weights`` (temperature 1) of the
+    energies of a ``SCORING_DTYPE`` copy of the net; the caller's model is
+    left untouched.
     """
     seeds = np.atleast_2d(np.asarray(seed_pairs, dtype=float))
     b, width = seeds.shape
     if width != 2 * model.state_dim:
         raise ValueError(f"pair rows must have width {2 * model.state_dim}")
     scorer = EnergyModel(model.net.astype(SCORING_DTYPE))
-    current = seeds.copy()
     # one draw for every iteration: the same numbers as one draw per iteration
     noises = rng.normal(0.0, scale, size=(NEGATIVE_ITERS, b, NEGATIVE_SAMPLES, width))
-    for noise in noises:
-        candidates = current[:, None, :] + noise
-        energies = transition_energies(scorer, candidates.reshape(b * NEGATIVE_SAMPLES, width))
-        weights = softmin_weights(energies.reshape(b, NEGATIVE_SAMPLES))
-        current = np.einsum("bn,bnw->bw", weights, candidates)
-    return current
+    return perturb_and_reweight(seeds, noises, lambda samples: samples,
+                                lambda samples: transition_energies(scorer, samples),
+                                softmin_weights)

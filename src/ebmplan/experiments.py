@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 
 from ._io import write_atomic
-from .baselines import ActionFFModel, ff_plan, ff_train_step, make_action_ff
+from .baselines import ActionFFModel, ff_plan, ff_train_step, make_action_ff, pack_transitions
 from .energy import (
     EnergyModel,
     collate,
@@ -147,9 +147,9 @@ MODEL_KINDS = {
             model, state, goal, cfg, rng, spec.clip_action)[0][0],
         # (s, a, s') rows, a the command execute_plan sent, clipped as the env clips it
         fresh_rows=lambda spec, real, prefix, actions: (
-            np.concatenate([real[:-1], spec.clip_action(actions), real[1:]], axis=1),),
+            pack_transitions(real[:-1], spec.clip_action(actions), real[1:]),),
         train_step=lambda *args: ff_train_step(*args),
-        pretrain_rows=lambda dataset: np.concatenate(dataset, axis=1),
+        pretrain_rows=lambda dataset: pack_transitions(*dataset),
         pretrain_batch=lambda model, rows, rng, scale: (rows,),
     ),
 }
@@ -561,6 +561,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build and check a config; a key its kind or explore policy never reads is an error."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config: expected an object, got {type(data).__name__}")
         config = _build(cls, data)
         unread = sorted(set(data) - _COMMON_KEYS - KIND_KEYS[config.kind])
         reader = f"experiment {config.kind!r}"

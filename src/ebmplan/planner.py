@@ -1,12 +1,10 @@
 """Sampling-based trajectory inference over state sequences (MPPI).
 
-The planner keeps a candidate trajectory, repeatedly perturbs it with
-temporally smooth Gaussian noise, scores every perturbed sample, and replaces
-the candidate with the weight-averaged sample, where weights are the
-exponentiated negative scores. Index 0 is clamped to the start state
-throughout, so the result is always conditioned on where the agent actually
-is. The perturb-and-reweight loop is ``mppi_refine``, which the action-space
-planner of ``baselines`` runs as well.
+``mppi_refine`` runs the perturb-and-reweight loop,
+``energy.perturb_and_reweight``, on one candidate trajectory over temporally
+smooth Gaussian noise; the action-space planner of ``baselines`` calls it as
+well. ``plan`` clamps index 0 to the start state throughout, so the result is
+always conditioned on where the agent actually is.
 
 Smoothness comes from drawing noise with covariance ``scale^2 * (A^T A)^-1``
 for the second-order finite-difference matrix ``A`` whose final two rows are
@@ -22,7 +20,14 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import EnergyModel, goal_scores, reward_scores, softmin_weights, trajectory_energies
+from .energy import (
+    EnergyModel,
+    goal_scores,
+    perturb_and_reweight,
+    reward_scores,
+    softmin_weights,
+    trajectory_energies,
+)
 from .envs import EnvSpec
 from .nn import SCORING_DTYPE
 
@@ -152,15 +157,14 @@ def mppi_refine(
     config: PlannerConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Refine a (T, d) candidate by perturb-and-reweight; shared by both planners.
+    """Refine a (T, d) candidate by ``perturb_and_reweight``; shared by both planners.
 
-    Each of ``config.num_iterations`` iterations perturbs the candidate with
-    ``num_samples`` smooth noise draws, maps the perturbed candidates through
-    ``project`` (which may modify its (n, T, d) argument in place), scores
-    them with ``score`` (lower is better), and replaces the candidate by the
-    MPPI-weighted average. Samples with non-finite scores get weight zero; if
-    every score is non-finite the kernel raises. The noise scale decays by
-    ``NOISE_DECAY`` per iteration.
+    The candidate is one problem. Its noise is ``num_samples`` smooth draws
+    for each of ``config.num_iterations`` iterations, at a scale that decays
+    by ``NOISE_DECAY`` per iteration; ``project`` and ``score`` take (n, T, d)
+    samples. Samples with non-finite scores get weight zero and the rest get
+    ``mppi_weights`` at ``config.temperature``; if every score is non-finite
+    the planner raises.
 
     The noise of every iteration is drawn up front in one call, which gives
     the same numbers and the same final ``rng`` state as one draw per
@@ -175,16 +179,16 @@ def mppi_refine(
         scales[k] = scale
         scale *= NOISE_DECAY
     noises = SmoothNoiseGen(horizon, dim).sample(scales, rng, n=config.num_samples)
-    for noise in noises:
-        samples = project(candidate[None] + noise)
-        scores = score(samples)
+
+    def weigh(scores: np.ndarray) -> np.ndarray:
         finite = np.isfinite(scores)
         if not finite.any():
             raise ValueError("all sampled candidates scored non-finite")
-        weights = np.zeros(len(scores))
+        weights = np.zeros(scores.shape)
         weights[finite] = mppi_weights(scores[finite], config.temperature)
-        candidate = np.einsum("n,ntd->td", weights, samples)
-    return candidate
+        return weights
+
+    return perturb_and_reweight(candidate[None], noises[:, None], project, score, weigh)[0]
 
 
 def plan_target(spec: EnvSpec, goal: np.ndarray | None, config: PlannerConfig):
@@ -223,13 +227,10 @@ def plan(
 ) -> np.ndarray:
     """Infer a (horizon, state_dim) trajectory starting at ``s_start``.
 
-    The candidate starts as the constant trajectory at the start state. Each
-    iteration draws ``num_samples`` smooth perturbations of the candidate,
-    re-clamps their first state, scores them against ``target`` by
-    ``score_mode`` (``plan_target`` builds the target: a goal vector, a reward
-    function, or None), and averages them under the MPPI weights. Samples with
-    non-finite scores get weight zero; if every score is non-finite the
-    planner raises.
+    ``mppi_refine`` refines the constant trajectory at the start state, with
+    each sample's first state re-clamped and its score taken against
+    ``target`` by ``score_mode`` (``plan_target`` builds the target: a goal
+    vector, a reward function, or None).
 
     Samples are scored by a ``SCORING_DTYPE`` copy of the net, made once per
     call; the caller's model is left untouched, and scores and weights stay

@@ -327,6 +327,17 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["[]", "42", "null", "[1, 2]", '"online"'])
+def test_config_that_is_not_an_object_exits_2_with_one_line(text, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["online", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: expected an object, got ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_every_shipped_config_runs_shortened(tmp_path, monkeypatch):
     # one working directory, so eval_particle.json loads the checkpoint that the
     # shortened pretrain_particle_ebm.json writes under its own out_dir

@@ -9,6 +9,7 @@ from ebmplan.energy import (
     goal_scores,
     make_energy_model,
     pack_pairs,
+    perturb_and_reweight,
     reward_scores,
     sample_negative_pairs,
     softmin_weights,
@@ -314,6 +315,55 @@ def test_sample_negative_pairs_deterministic():
     a = sample_negative_pairs(model, seeds, np.random.default_rng(9), scale=0.05)
     b = sample_negative_pairs(model, seeds, np.random.default_rng(9), scale=0.05)
     assert np.array_equal(a, b)
+
+
+def reference_negatives(model, seeds, rng, scale):
+    # the sampler as its own loop: one draw for all 5 iterations of 16 samples,
+    # per-row softmin weights of the float32 copy's energies, the batched average
+    scorer = EnergyModel(model.net.astype(np.float32))
+    b, width = seeds.shape
+    current = seeds.copy()
+    for noise in rng.normal(0.0, scale, size=(5, b, 16, width)):
+        candidates = current[:, None, :] + noise
+        energies = transition_energies(scorer, candidates.reshape(b * 16, width))
+        weights = np.stack([softmin_weights(row) for row in energies.reshape(b, 16)])
+        current = np.einsum("bn,bnw->bw", weights, candidates)
+    return current
+
+
+@pytest.mark.parametrize("state_dim", [2, 4])
+def test_sample_negative_pairs_matches_reference_loop_bit_for_bit(state_dim):
+    # (48, 4) is the particle's pretraining batch, (48, 8) the reacher's
+    model = seeded_model(88, state_dim, hidden=(64, 64))
+    seeds = np.random.default_rng(89).normal(size=(48, 2 * state_dim))
+    rng, ref_rng = np.random.default_rng(90), np.random.default_rng(90)
+    out = sample_negative_pairs(model, seeds, rng, scale=0.1)
+    assert np.array_equal(out, reference_negatives(model, seeds, ref_rng, 0.1))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 48])
+def test_perturb_and_reweight_solves_k_problems_like_k_calls(k):
+    rng = np.random.default_rng(k)
+
+    def project(samples):
+        np.clip(samples, -1.5, 1.5, out=samples)
+        return samples
+
+    for n, item in [(16, (4,)), (48, (8,)), (96, (9, 4)), (128, (64,))]:
+        target = rng.normal(size=item)
+
+        def score(samples):
+            return ((samples - target) ** 2).reshape(len(samples), -1).sum(axis=1)
+
+        current = rng.normal(size=(k, *item))
+        noises = rng.normal(scale=0.3, size=(3, k, n, *item))
+        together = perturb_and_reweight(current, noises, project, score, softmin_weights)
+        assert together.shape == current.shape
+        for i in range(k):
+            alone = perturb_and_reweight(current[i : i + 1], noises[:, i : i + 1], project,
+                                         score, softmin_weights)
+            assert np.array_equal(together[i], alone[0])
 
 
 def test_sample_negative_pairs_leaves_model_unchanged():
