@@ -21,7 +21,8 @@ process and one temporary working directory. A run that exits non-zero prints
 
 The committed ledger ``OUTPUTS.sha256`` holds these lines at HEAD, after a
 ``#`` line naming the host that wrote it. OpenBLAS picks its float32 kernels
-per CPU, so another host may print other digests. To check a tree against the
+per CPU, at load, so another host may print other digests; the host line ends
+with the core that OpenBLAS picked. To check a tree against the
 ledger, or to rewrite the ledger when a change moves an output on purpose:
 
     python3 scripts/output_digests.py --check OUTPUTS.sha256
@@ -34,6 +35,7 @@ is any.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -70,8 +72,20 @@ def corpus(tmp: Path, shipped_runs, tiny_configs) -> list[tuple[str, dict, list[
             for name, config, extra in runs]
 
 
+def openblas_core() -> str:
+    """The CPU core whose kernels numpy's bundled OpenBLAS chose at load, or ``unknown``."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def host_line() -> str:
-    """The ledger's first line: the CPU model and the numpy and OpenBLAS versions."""
+    """The ledger's first line: the CPU model, the numpy and OpenBLAS versions, and the
+    OpenBLAS runtime core, which picks the float32 kernels."""
     cpu = platform.processor() or "unknown"
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -85,7 +99,7 @@ def host_line() -> str:
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):
         blas = "unknown"
-    return f"# host: {cpu}; numpy {np.__version__}; BLAS {blas}"
+    return f"# host: {cpu}; numpy {np.__version__}; BLAS {blas}; OpenBLAS core {openblas_core()}"
 
 
 def compare(ledger: list[str], lines: list[str]) -> list[str]:

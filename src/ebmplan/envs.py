@@ -26,14 +26,15 @@ MAP_LOW, MAP_HIGH = -1.0, 1.0
 REACHER_DT = 0.05
 REACHER_OMEGA_MAX = 1.0
 REACHER_TORQUE_BOUND = 1.0
+OCCUPANCY_CELL = 0.1  # side of the grid cells that occupancy counts
 
 
 def clip_to_ball(action: np.ndarray, radius: float) -> np.ndarray:
     """Project vectors (or a (..., d) batch of them) onto the radius ball."""
     action = np.asarray(action, dtype=float)
     norm = np.linalg.norm(action, axis=-1, keepdims=True)
-    factor = np.where(norm > radius, np.divide(radius, norm, out=np.ones_like(norm), where=norm > 0), 1.0)
-    return action * factor
+    # radius / radius is exactly 1.0, so rows inside the ball, zero rows included, pass unchanged
+    return action * (radius / np.maximum(norm, radius))
 
 
 def wrap_angle(theta: np.ndarray) -> np.ndarray:
@@ -270,10 +271,8 @@ def make_env(kind: str, **kwargs) -> EnvSpec:
 # occupancy
 
 
-def occupancy_cells(states: np.ndarray, cell_size: float) -> set[tuple[int, int]]:
-    """Distinct grid cells visited by the first two state coordinates."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+def occupancy_cells(states: np.ndarray) -> set[tuple[int, int]]:
+    """Distinct ``OCCUPANCY_CELL`` grid cells visited by the first two state coordinates."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    cells = np.floor(states[:, :2] / cell_size).astype(np.int64)
+    cells = np.floor(states[:, :2] / OCCUPANCY_CELL).astype(np.int64)
     return {(int(cx), int(cy)) for cx, cy in cells}

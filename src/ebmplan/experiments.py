@@ -39,6 +39,8 @@ from .svg import write_heatmap_svg
 
 PRETRAIN_MODES = ("shuffled", "sequential-repeated")
 EXPLORE_POLICIES = ("random", "ebm-prior")
+# the wall (x_min, y_min, x_max, y_max) that the comparison kind adds to the particle map
+COMPARISON_OBSTACLE = (0.28, -0.22, 0.38, 0.26)
 _PRETRAIN_KEYS = {"hidden_sizes", "learning_rate", "dataset_size", "dataset_reset_every",
                   "pretrain_steps", "pretrain_batch", "negative_scale"}
 # the top-level keys each kind reads beyond kind, env, env_options, model, seeds and out_dir
@@ -48,7 +50,7 @@ KIND_KEYS = {
     "eval": {"goal", "planner", "episodes", "episode_length", "model_checkpoint"},
     "explore": {"planner", "online", "hidden_sizes", "learning_rate", "explore_policy"},
     "comparison": _PRETRAIN_KEYS | {"goal", "planner", "ff_learning_rate", "repeat_factor",
-                                    "episodes", "episode_length", "obstacle"},
+                                    "episodes", "episode_length"},
     "diversity": {"goal", "planner", "hidden_sizes", "model_checkpoint", "horizons", "trials"},
     "heatmap": {"hidden_sizes", "model_checkpoint", "resolution", "heatmap_displacement"},
 }
@@ -56,8 +58,8 @@ EXPERIMENT_KINDS = tuple(KIND_KEYS)
 # the keys, dotted inside the online section, that an explore policy never reads
 EXPLORE_UNREAD = {
     "random": {"planner", "hidden_sizes", "learning_rate", "online.deviation_threshold",
-               "online.batch_size", "online.buffer_capacity", "online.goal_tolerance"},
-    "ebm-prior": {"online.goal_tolerance"},
+               "online.batch_size", "online.buffer_capacity"},
+    "ebm-prior": set(),
 }
 _COMMON_KEYS = {"kind", "env", "env_options", "model", "seeds", "out_dir"}
 
@@ -306,7 +308,7 @@ def run_explore(
     ``random`` rolls the uniform policy, reset every ``episode_length`` steps;
     ``ebm-prior`` trains an energy model through ``online_train`` with no goal,
     planning with ``config.planner`` as given, and reads its metrics. Occupancy
-    counts the cells of side ``occupancy_cell`` entered by executed transitions.
+    counts the cells of side ``envs.OCCUPANCY_CELL`` entered by executed transitions.
     """
     rng = np.random.default_rng(seed)
     if policy_kind == "random":
@@ -314,7 +316,7 @@ def run_explore(
         visited: set = set()
         series = []
         for step, state in enumerate(reached, start=1):
-            visited |= occupancy_cells(state[None, :], config.occupancy_cell)
+            visited |= occupancy_cells(state[None, :])
             series.append((step, len(visited)))
         return series
     if policy_kind == "ebm-prior":
@@ -473,8 +475,6 @@ class ExperimentConfig:
     # heatmap
     resolution: int = 40
     heatmap_displacement: tuple[float, float] = (0.0, 0.0)
-    # comparison
-    obstacle: tuple[float, float, float, float] = (0.28, -0.22, 0.38, 0.26)
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
@@ -538,14 +538,15 @@ class ExperimentConfig:
             raise ValueError(f"env_options: {exc}") from None
 
     def obstacle_env(self) -> EnvSpec:
-        """The comparison kind's blocked map: the particle map with ``obstacle`` as a wall."""
+        """The comparison's blocked map: the particle map plus the wall ``COMPARISON_OBSTACLE``."""
         if self.env != "particle":
             raise ValueError("experiment 'comparison' runs on the particle environment only")
         start = tuple(self.make_env().start_state)
         try:
-            return make_env("maze", layout=MazeLayout((self.obstacle,)), start=start)
+            return make_env("maze", layout=MazeLayout((COMPARISON_OBSTACLE,)), start=start)
         except ValueError as exc:
-            raise ValueError(f"obstacle: {exc}") from None
+            raise ValueError(f"env_options.start: {exc}, the comparison's "
+                             f"{COMPARISON_OBSTACLE}") from None
 
     def online_config(self) -> OnlineConfig:
         """The ``online`` section's loop settings, plus the planner, ``hidden_sizes`` and

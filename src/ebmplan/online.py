@@ -24,6 +24,8 @@ from .envs import EnvSpec, occupancy_cells
 from .nn import check_update, init_adam_state, param_norm
 from .planner import PlannerConfig
 
+GOAL_TOLERANCE = 0.05  # a reward of at least -GOAL_TOLERANCE ends the episode
+
 
 class ReplayBuffer:
     """Bounded FIFO of packed transition-pair rows with uniform resampling.
@@ -75,7 +77,8 @@ class ReplayBuffer:
 
 @dataclass(frozen=True)
 class OnlineConfig:
-    """Online loop settings; a config's top level sets the planner, net and learning rate."""
+    """Online loop settings; a config's top level sets the planner, net and learning rate.
+    The goal tolerance and occupancy cell are ``GOAL_TOLERANCE`` and ``envs.OCCUPANCY_CELL``."""
 
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     deviation_threshold: float = 0.1
@@ -83,10 +86,8 @@ class OnlineConfig:
     buffer_capacity: int = 2000
     env_step_budget: int = 5000
     episode_length: int = 50
-    goal_tolerance: float = 0.05
     hidden_sizes: tuple[int, ...] = (64, 64)
     learning_rate: float = 1e-3
-    occupancy_cell: float = 0.1
 
     def __post_init__(self) -> None:
         if not self.deviation_threshold > 0:
@@ -95,10 +96,6 @@ class OnlineConfig:
             raise ValueError("env_step_budget must be non-negative")
         if self.episode_length < 1:
             raise ValueError("episode_length must be >= 1")
-        if not self.occupancy_cell > 0:
-            raise ValueError("occupancy_cell must be positive")
-        if self.goal_tolerance < 0:
-            raise ValueError("goal_tolerance must be non-negative")
         if self.buffer_capacity < 1:
             raise ValueError("buffer_capacity must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
@@ -169,15 +166,17 @@ def run_online(
     ``propose(model, state, rng)`` returns a planned state trajectory starting
     at ``state``; it is truncated at the episode or budget boundary, executed
     until reality deviates from it, scored by one ``spec.reward`` call, and cut
-    at the first goal hit. ``fresh_rows(real, prefix, actions)`` maps the kept
-    chunk to a tuple of row arrays, each padded by ``with_replay`` from its own
-    buffer; ``train_step(model, batch, config.learning_rate, adam_state)`` takes the
+    at the first goal hit, a reward of at least ``-GOAL_TOLERANCE``.
+    ``fresh_rows(real, prefix, actions)`` maps the kept chunk to a tuple of row
+    arrays, each padded by ``with_replay`` from its own buffer;
+    ``train_step(model, batch, config.learning_rate, adam_state)`` takes the
     padded tuple and returns the updated model, Adam state and loss, and then
     the fresh arrays join their buffers. Episodes reset to the start state after
     ``episode_length`` transitions or on reaching the goal; only completed
     episodes enter the score series, and an episode's score sums, in order,
-    the reward of every state reached by a kept transition. A diverged update
-    (see ``check_update``) raises.
+    the reward of every state reached by a kept transition. Each metrics row's
+    occupancy counts the ``envs.OCCUPANCY_CELL`` cells entered so far. A
+    diverged update (see ``check_update``) raises.
     """
     adam_state = init_adam_state(model.net)
     initial_norm = param_norm(model.net)
@@ -199,7 +198,7 @@ def run_online(
         real, prefix, actions = execute_plan(spec, state, planned, config.deviation_threshold)
         # one reward call per executed chunk; the episode ends exactly at the first goal hit
         rewards = spec.reward(real[1:], goal) if goal is not None else np.empty(0)
-        hits = np.flatnonzero(rewards >= -config.goal_tolerance)
+        hits = np.flatnonzero(rewards >= -GOAL_TOLERANCE)
         reached = hits.size > 0
         if reached:
             end = hits[0] + 1
@@ -217,7 +216,7 @@ def run_online(
         episode_return += sum(rewards.tolist())
         episode_steps += executed
         steps_total += executed
-        visited |= occupancy_cells(real[1:], config.occupancy_cell)
+        visited |= occupancy_cells(real[1:])
         state = real[-1]
         metrics.append(
             OnlineMetricsRow(

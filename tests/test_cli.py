@@ -76,7 +76,7 @@ def tiny_configs(tmp_path):
             "env": "maze",
             "explore_policy": "random",
             "seeds": [0, 1],
-            "online": {"env_step_budget": 30, "occupancy_cell": 0.1},
+            "online": {"env_step_budget": 30},
         },
         "comparison": {
             "kind": "comparison",
@@ -206,7 +206,6 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"planner": {"noise_decay": 0.92}}, "planner.noise_decay"),
         ({"planner": {"noise_scale": "0.01"}}, "planner"),
         ({"online": {"env_step_budget": "12"}}, "online"),
-        ({"online": {"goal_tolerance": "0.05"}}, "online.goal_tolerance"),
         ({"episodes": "3"}, "episodes"),
         ({"hidden_sizes": "ab"}, "hidden_sizes"),
         ({"planner": 3}, "planner"),
@@ -221,6 +220,10 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"env_options": {"bogus": 1}}, "env_options"),
         ({"env_options": {"walls": [[0.0, 0.0, 0.1, 0.1]]}}, "env_options"),
         ({"env": "maze", "env_options": {"walls": [[0.0, 0.0]]}}, "env_options"),
+        ({"env": "maze", "env_options": {"walls": [[0.3, 0.3, 0.2, 0.4]]}},
+         "env_options: degenerate wall"),
+        ({"env": "maze", "env_options": {"walls": [[0.9, 0.0, 1.1, 0.1]]}},
+         "env_options: wall (0.9, 0.0, 1.1, 0.1) extends beyond the map"),
         # env_options keys are checked at load, so a key holding a newline still
         # gets one line, and no factory parameter is reachable from a config
         ({"env_options": {"bad\nkey": 1}}, "env_options.bad"),
@@ -283,10 +286,14 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
         ({"kind": "heatmap", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
         ({"kind": "diversity", "model": "action-ff", "model_checkpoint": "ff.npz"}, "'ebm'"),
         ({"kind": "explore", "model": "action-ff"}, "'ebm'"),
-        # the comparison kind's blocked maze is built at load
-        ({"kind": "comparison", "obstacle": [0.3, 0.3, 0.2, 0.4]}, "obstacle:"),
-        ({"kind": "comparison", "obstacle": [0.9, 0.0, 1.1, 0.1]}, "obstacle:"),
-        ({"kind": "comparison", "obstacle": [-0.6, -0.6, -0.4, -0.4]}, "obstacle:"),
+        # the comparison kind's blocked map, with its fixed wall, is built at load
+        ({"kind": "comparison", "env_options": {"start": [0.3, 0.0]}},
+         "env_options.start: start state lies inside a wall"),
+        # the goal tolerance, the occupancy cell and the comparison's wall are
+        # constants, not keys
+        ({"online": {"goal_tolerance": 0.05}}, "['online.goal_tolerance']"),
+        ({"kind": "explore", "online": {"occupancy_cell": 0.1}}, "['online.occupancy_cell']"),
+        ({"kind": "comparison", "obstacle": [0.28, -0.22, 0.38, 0.26]}, "['obstacle']"),
         # a key that the kind never reads is not silently ignored: a checkpoint
         # it would not load, or a setting of another kind
         ({"model_checkpoint": "nope.npz"}, "model_checkpoint: experiment 'online'"),
@@ -294,8 +301,6 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
          "model_checkpoint: experiment 'comparison'"),
         ({"trials": 16}, "trials: experiment 'online' does not read it"),
         ({"resolution": 40}, "resolution: experiment 'online' does not read it"),
-        ({"obstacle": [0.28, -0.22, 0.38, 0.26]},
-         "obstacle: experiment 'online' does not read it"),
         ({"pretrain_steps": 3000}, "pretrain_steps: experiment 'online' does not read it"),
         ({"explore_policy": "random"}, "explore_policy: experiment 'online' does not read it"),
         # nor a key that the explore policy never reads
@@ -308,11 +313,7 @@ def test_unknown_config_key_exits_nonzero(tmp_path, capsys):
               ("online.deviation_threshold", {"online": {"deviation_threshold": 0.1}}),
               ("online.batch_size", {"online": {"batch_size": 8}}),
               ("online.buffer_capacity", {"online": {"buffer_capacity": 100}}),
-              ("online.goal_tolerance", {"online": {"goal_tolerance": 0.05}}),
           ]],
-        ({"kind": "explore", "planner": {**TINY_PLANNER, "score_mode": "prior-only"},
-          "online": {"env_step_budget": 4, "goal_tolerance": 0.05}},
-         "online.goal_tolerance: explore policy 'ebm-prior' does not read it"),
     ]
     for i, (extra, word) in enumerate(bad_configs):
         config = {"kind": "online", **extra}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ebmplan.envs import (
     ENV_FACTORIES,
+    PARTICLE_STEP_BOUND,
     MazeLayout,
     clip_to_ball,
     default_maze_layout,
@@ -219,16 +220,11 @@ def test_reward_of_a_batch_equals_per_state_calls_bit_for_bit():
 
 
 def test_occupancy_examples():
-    assert len(occupancy_cells(np.array([[0.31, 0.47]]), 0.1)) == 1
-    assert len(occupancy_cells(np.array([[0.31, 0.47], [0.33, 0.41]]), 0.1)) == 1
+    assert len(occupancy_cells(np.array([[0.31, 0.47]]))) == 1
+    assert len(occupancy_cells(np.array([[0.31, 0.47], [0.33, 0.41]]))) == 1
     # sweep crossing exactly 4 cell boundaries -> 5 cells
     sweep = np.stack([np.linspace(0.05, 0.45, 9), np.zeros(9)], axis=1)
-    assert len(occupancy_cells(sweep, 0.1)) == 5
-
-
-def test_occupancy_rejects_bad_cell_size():
-    with pytest.raises(ValueError):
-        occupancy_cells(np.zeros((1, 2)), 0.0)
+    assert len(occupancy_cells(sweep)) == 5
 
 
 def test_maze_layout_validation():
@@ -325,6 +321,32 @@ def test_clip_to_ball_keeps_inside_and_bounds_norm(vector, radius):
     assert np.linalg.norm(clipped) <= radius * (1 + 1e-12)
     if np.linalg.norm(vector) <= radius:
         assert np.array_equal(clipped, vector)
+
+
+def clip_to_ball_reference(action, radius):
+    # the reference: the zero row and the rows inside the ball guarded apart
+    action = np.asarray(action, dtype=float)
+    norm = np.linalg.norm(action, axis=-1, keepdims=True)
+    factor = np.where(norm > radius, np.divide(radius, norm, out=np.ones_like(norm),
+                                               where=norm > 0), 1.0)
+    return action * factor
+
+
+@pytest.mark.parametrize("radius", [PARTICLE_STEP_BOUND, 1.0])
+def test_clip_to_ball_matches_reference_bit_for_bit(radius):
+    rng = np.random.default_rng(0)
+    unit = rng.normal(size=(2000, 2))
+    unit /= np.linalg.norm(unit, axis=-1, keepdims=True)
+    rows = [np.zeros((3, 2)), rng.normal(scale=radius, size=(2000, 2)),
+            np.array([[radius, 0.0], [0.0, -radius], [np.nextafter(radius, 0.0), 0.0],
+                      [np.nextafter(radius, 2.0), 0.0]])]
+    # norms at the radius and 1 ulp either side of it, in every direction
+    for scale in (np.nextafter(radius, 0.0), radius, np.nextafter(radius, 2.0)):
+        rows.append(unit * scale)
+    for batch in [np.concatenate(rows), rng.normal(scale=radius, size=(128, 13, 2))]:
+        clipped = clip_to_ball(batch, radius)
+        assert clipped.tobytes() == clip_to_ball_reference(batch, radius).tobytes()
+    assert clip_to_ball(np.zeros(2), radius).tobytes() == np.zeros(2).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -50,7 +50,7 @@ def test_gen_random_dataset_replays_exactly():
 def test_gen_random_dataset_coverage():
     spec = particle_env()
     s, _, _ = gen_random_dataset(spec, 10_000, np.random.default_rng(2), reset_every=100)
-    assert len(occupancy_cells(s, 0.1)) > 50
+    assert len(occupancy_cells(s)) > 50
 
 
 def test_pretrain_zero_steps_returns_seeded_initialization():
@@ -154,10 +154,10 @@ def test_run_policy_episode_stationary_at_goal_scores_zero():
 
 def test_run_explore_random_budget_one_and_monotone():
     spec = particle_env()
-    config = OnlineConfig(env_step_budget=1, occupancy_cell=0.1)
+    config = OnlineConfig(env_step_budget=1)
     series = run_explore("random", spec, seed=0, config=config)
     assert series == [(1, 1)]
-    config = OnlineConfig(env_step_budget=200, occupancy_cell=0.1)
+    config = OnlineConfig(env_step_budget=200)
     series = run_explore("random", spec, seed=1, config=config)
     occ = [c for _, c in series]
     assert all(b >= a for a, b in zip(occ, occ[1:]))
@@ -299,15 +299,9 @@ def test_experiment_config_rejects_unknown_keys():
             ExperimentConfig.from_dict(data)
     with pytest.raises(ValueError, match="horizons"):
         ExperimentConfig.from_dict({"kind": "diversity", "goal": [0.2, 0.0], "horizons": [6, 1]})
-    with pytest.raises(ValueError, match="occupancy_cell must be positive"):
-        ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0],
-                                    "online": {"occupancy_cell": 0.0}})
-    with pytest.raises(ValueError, match="goal_tolerance must be non-negative"):
-        ExperimentConfig.from_dict({"kind": "online", "goal": [0.0, 0.0],
-                                    "online": {"goal_tolerance": -0.01}})
-    with pytest.raises(ValueError, match="obstacle: start state lies inside a wall"):
+    with pytest.raises(ValueError, match="env_options.start: start state lies inside a wall"):
         ExperimentConfig.from_dict({"kind": "comparison", "goal": [0.4, 0.0],
-                                    "obstacle": [-0.6, -0.6, -0.4, -0.4]})
+                                    "env_options": {"start": [0.3, 0.0]}})
 
 
 def test_obstacle_env_is_built_through_make_env(monkeypatch):
@@ -322,7 +316,7 @@ def test_obstacle_env_is_built_through_make_env(monkeypatch):
     config = ExperimentConfig.from_dict({"kind": "comparison", "goal": [0.4, 0.0]})
     assert "maze" in built
     blocked = config.obstacle_env()
-    assert blocked.maze_layout.walls == (config.obstacle,)
+    assert blocked.maze_layout.walls == (experiments.COMPARISON_OBSTACLE,)
     assert np.array_equal(blocked.start_state, config.make_env().start_state)
 
 

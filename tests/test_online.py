@@ -16,6 +16,7 @@ from ebmplan.envs import maze_env, particle_env, reacher_env
 from ebmplan.experiments import MODEL_KINDS, online_train
 from ebmplan.nn import adam_step, init_adam_state
 from ebmplan.online import (
+    GOAL_TOLERANCE,
     OnlineConfig,
     ReplayBuffer,
     execute_plan,
@@ -287,10 +288,10 @@ def test_online_train_respects_budget_and_episode_length():
 
 def test_run_online_ends_the_episode_at_the_first_goal_hit():
     spec = particle_env(start=(0.0, 0.0))
-    goal = np.array([0.1, 0.0])
-    # a feasible straight plan through x = 0.03, 0.06, 0.09, 0.12, 0.15; only
-    # x = 0.09 lies within the tolerance of the goal
-    config = tiny_config(env_step_budget=6, episode_length=10, goal_tolerance=0.015)
+    goal = np.array([0.09, 0.045])
+    # a feasible straight plan through x = 0.03, 0.06, 0.09, 0.12, 0.15 at y = 0;
+    # only x = 0.09 lies within the tolerance of the goal
+    config = tiny_config(env_step_budget=6, episode_length=10)
     model = make_energy_model(2, np.random.default_rng(0), (4,))
     starts, lengths = [], []
 
@@ -319,9 +320,10 @@ def test_run_online_ends_the_episode_at_the_first_goal_hit():
 
 def test_run_online_cuts_a_chunk_with_two_goal_hits_at_the_first():
     spec = particle_env(start=(0.0, 0.0))
-    goal = np.array([0.1, 0.0])
+    goal = np.array([0.105, 0.045])
     # the plan passes x = 0.09 and x = 0.12, both within the tolerance
-    config = tiny_config(env_step_budget=5, episode_length=10, goal_tolerance=0.035)
+    assert spec.reward(np.array([0.12, 0.0]), goal) >= -GOAL_TOLERANCE
+    config = tiny_config(env_step_budget=5, episode_length=10)
     model = make_energy_model(2, np.random.default_rng(0), (4,))
     chunks = []
 
@@ -340,7 +342,7 @@ def test_run_online_cuts_a_chunk_with_two_goal_hits_at_the_first():
                         fresh_rows, train_step)
     assert [len(chunk) for chunk in chunks] == [4, 3]
     kept = [float(spec.reward(s, goal)) for s in chunks[0][1:]]
-    assert [r >= -config.goal_tolerance for r in kept] == [False, False, True]
+    assert [r >= -GOAL_TOLERANCE for r in kept] == [False, False, True]
     assert result.episode_scores == [sum(kept)]
 
 

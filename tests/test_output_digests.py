@@ -49,3 +49,20 @@ def test_host_line_is_a_comment_naming_cpu_numpy_and_blas():
     line = output_digests.host_line()
     assert line.startswith("# host: ") and "numpy" in line and "BLAS" in line
     assert "\n" not in line
+    # last, the OpenBLAS runtime core, which picks the float32 kernels
+    core = line.rsplit("; OpenBLAS core ", 1)[1]
+    assert core == output_digests.openblas_core() != ""
+
+
+def test_openblas_core_is_unknown_without_the_library_or_its_symbol(monkeypatch, tmp_path):
+    fake_numpy = tmp_path / "site" / "numpy"
+    fake_numpy.mkdir(parents=True)
+    monkeypatch.setattr(output_digests.np, "__file__", str(fake_numpy / "__init__.py"))
+    assert output_digests.openblas_core() == "unknown"  # no numpy.libs directory
+    libs = tmp_path / "site" / "numpy.libs"
+    libs.mkdir()
+    (libs / "libscipy_openblas64_-0.so").write_bytes(b"not a shared library")
+    assert output_digests.openblas_core() == "unknown"
+    # a library that loads but has no corename symbol
+    monkeypatch.setattr(output_digests.ctypes, "CDLL", lambda path: object())
+    assert output_digests.openblas_core() == "unknown"
