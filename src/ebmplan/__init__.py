@@ -54,7 +54,6 @@ from .nn import (
     MlpParams,
     adam_step,
     load_mlp,
-    mlp_forward,
     mlp_init,
     save_mlp,
 )
@@ -68,7 +67,6 @@ from .online import (
 from .planner import (
     PlannerConfig,
     SmoothNoiseGen,
-    finite_difference_matrix,
     mppi_weights,
     plan,
 )

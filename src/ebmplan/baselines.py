@@ -22,7 +22,6 @@ from .nn import (
     adam_step,
     backward,
     forward_cached,
-    mlp_forward,
     mlp_init,
 )
 from .planner import PlannerConfig, mppi_refine
@@ -56,7 +55,7 @@ def make_action_ff(
 
 
 def ff_predict(model: ActionFFModel, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Next-state prediction for single vectors or aligned (n, d) batches."""
+    """Next-state predictions for aligned (n, state_dim) states and (n, action_dim) actions."""
     state = np.asarray(state, dtype=float)
     action = np.asarray(action, dtype=float)
     if state.shape[-1] != model.state_dim or action.shape[-1] != model.action_dim:
@@ -64,7 +63,7 @@ def ff_predict(model: ActionFFModel, state: np.ndarray, action: np.ndarray) -> n
             f"expected state dim {model.state_dim} and action dim {model.action_dim}, "
             f"got {state.shape} and {action.shape}"
         )
-    return mlp_forward(model.net, np.concatenate([state, action], axis=-1))
+    return forward_cached(model.net, np.concatenate([state, action], axis=-1))[0]
 
 
 def pack_transitions(states, actions, next_states) -> np.ndarray:

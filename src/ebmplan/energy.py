@@ -28,7 +28,6 @@ from .nn import (
     adam_step,
     backward,
     forward_cached,
-    mlp_forward,
     mlp_init,
 )
 
@@ -57,7 +56,7 @@ def make_energy_model(
 
 
 def pack_pairs(s_from: np.ndarray, s_to: np.ndarray) -> np.ndarray:
-    """Concatenate from/to states (single vectors or batches) into pair rows."""
+    """Concatenate aligned (n, state_dim) from/to states into n pair rows."""
     s_from = np.asarray(s_from, dtype=float)
     s_to = np.asarray(s_to, dtype=float)
     if s_from.shape != s_to.shape:
@@ -91,7 +90,7 @@ def transition_energies(model: EnergyModel, pairs: np.ndarray) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 2 or pairs.shape[1] != 2 * model.state_dim:
         raise ValueError(f"expected (n, {2 * model.state_dim}) pair batch, got {pairs.shape}")
-    return mlp_forward(model.net, pairs)[:, 0].astype(float)
+    return forward_cached(model.net, pairs)[0][:, 0].astype(float)
 
 
 def trajectory_energies(model: EnergyModel, trajs: np.ndarray) -> np.ndarray:

@@ -139,16 +139,8 @@ def init_adam_state(params: MlpParams) -> AdamState:
     return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat), 0)
 
 
-def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    # the input takes the parameters' dtype, so the pass runs in their precision
-    x = np.asarray(x, dtype=params.flat.dtype)
-    if x.shape[-1] != params.in_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != network in_dim {params.in_dim}")
-    return x
-
-
 def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Batched forward pass returning the output and per-layer activations.
+    """The forward pass of a (n, in_dim) batch: the output and per-layer activations.
 
     Computes in the dtype of ``params``; the batch is cast to it. The cache
     holds the input followed by every layer output and is exactly what
@@ -156,9 +148,12 @@ def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, li
     tanh, in place on the fresh product ``out @ W.T``, the only array it
     writes, so the batch and earlier cache entries are never modified.
     """
-    batch = _check_input(params, batch)
+    # the batch takes the parameters' dtype, so the pass runs in their precision
+    batch = np.asarray(batch, dtype=params.flat.dtype)
     if batch.ndim != 2:
         raise ValueError("forward_cached expects a (n, in_dim) batch")
+    if batch.shape[1] != params.in_dim:
+        raise ValueError(f"input dim {batch.shape[1]} != network in_dim {params.in_dim}")
     cache = [batch]
     out = batch
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -168,14 +163,6 @@ def forward_cached(params: MlpParams, batch: np.ndarray) -> tuple[np.ndarray, li
             np.tanh(out, out=out)
         cache.append(out)
     return out, cache
-
-
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the network on one input vector or a (n, in_dim) batch."""
-    x = _check_input(params, x)
-    single = x.ndim == 1
-    out, _ = forward_cached(params, x[None, :] if single else x)
-    return out[0] if single else out
 
 
 def backward(

@@ -7,10 +7,11 @@ well. ``plan`` clamps index 0 to the start state throughout, so the result is
 always conditioned on where the agent actually is.
 
 Smoothness comes from drawing noise with covariance ``scale^2 * (A^T A)^-1``
-for the second-order finite-difference matrix ``A`` whose final two rows are
-removed, which leaves the end of the horizon unconstrained: noise variance
-grows toward the end of the trajectory, so plans explore widely where they
-are least committed.
+for the T-by-T second-order finite-difference matrix ``A`` (the stencil
+(1, -2, 1) without the two rows that would pin the end), which leaves the end
+of the horizon unconstrained: noise variance grows toward the end of the
+trajectory, so plans explore widely where they are least committed.
+``SmoothNoiseGen`` draws it by the second-difference recurrence, never forming ``A``.
 """
 
 from __future__ import annotations
@@ -70,25 +71,6 @@ class PlannerConfig:
             raise ValueError("temperature must be positive")
 
 
-def finite_difference_matrix(horizon: int) -> np.ndarray:
-    """Second-order finite-difference (acceleration) matrix over the horizon.
-
-    Rows slide the stencil (1, -2, 1) along the diagonal; the first two rows
-    pin the start of the trajectory and the two rows that would pin the end
-    are dropped. The result is unit-diagonal lower-triangular, so ``A^T A``
-    is symmetric positive definite.
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    a = np.zeros((horizon, horizon))
-    a[0, 0] = 1.0
-    a[1, 0] = -2.0
-    a[1, 1] = 1.0
-    for i in range(2, horizon):
-        a[i, i - 2 : i + 1] = (1.0, -2.0, 1.0)
-    return a
-
-
 class SmoothNoiseGen:
     """Draws zero-mean noise with covariance ``scale^2 * (A^T A)^-1`` per column.
 
@@ -96,7 +78,7 @@ class SmoothNoiseGen:
     solving ``A y = z`` is the forward recurrence
     ``y_t = z_t + 2 y_{t-1} - y_{t-2}`` (a discrete double integration of
     white noise), vectorized over all columns at once. At T = 1 the draw is
-    plain Gaussian noise; ``covariance`` needs T >= 2.
+    plain Gaussian noise.
     """
 
     def __init__(self, horizon: int, state_dim: int):
@@ -105,28 +87,20 @@ class SmoothNoiseGen:
         self.horizon = horizon
         self.state_dim = state_dim
 
-    def covariance(self) -> np.ndarray:
-        inv = np.linalg.solve(finite_difference_matrix(self.horizon), np.eye(self.horizon))
-        return inv @ inv.T
+    def sample(self, scales: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+        """A (K, n, T, d) batch: ``n`` perturbations at each of the K ``scales``.
 
-    def sample(
-        self, scale: float | np.ndarray, rng: np.random.Generator, n: int | None = None
-    ) -> np.ndarray:
-        """One (T, d) perturbation, or a (n, T, d) batch when ``n`` is given.
-
-        ``scale`` may also be a 1-D array of K scales; the result then gains a
-        leading axis, (K, T, d) or (K, n, T, d). All K draws come from one
-        ``standard_normal`` call, so they equal, bit for bit, K calls with the
-        scalar scales in order, and leave ``rng`` in the same state.
+        All K draws come from one ``standard_normal`` call, so they equal, bit
+        for bit, K calls with one scale each, in order, and leave ``rng`` in
+        the same state.
         """
-        scales = np.asarray(scale, dtype=float)
-        if scales.ndim > 1:
-            raise ValueError("scale must be a scalar or a 1-D array")
+        scales = np.asarray(scales, dtype=float)
+        if scales.ndim != 1:
+            raise ValueError("scales must be a 1-D array")
         if (scales < 0).any():
-            raise ValueError("scale must be non-negative")
-        count = 1 if n is None else n
+            raise ValueError("scales must be non-negative")
         k = scales.size
-        z = rng.standard_normal((k, self.horizon, count * self.state_dim))
+        z = rng.standard_normal((k, self.horizon, n * self.state_dim))
         z *= scales.reshape(k, 1, 1)
         y = np.empty_like(z)
         y[:, 0] = z[:, 0]
@@ -134,10 +108,7 @@ class SmoothNoiseGen:
             y[:, 1] = z[:, 1] + 2.0 * y[:, 0]
         for t in range(2, self.horizon):
             y[:, t] = z[:, t] + 2.0 * y[:, t - 1] - y[:, t - 2]
-        out = y.reshape(k, self.horizon, count, self.state_dim).transpose(0, 2, 1, 3)
-        if n is None:
-            out = out[:, 0]
-        return out[0] if scales.ndim == 0 else out
+        return y.reshape(k, self.horizon, n, self.state_dim).transpose(0, 2, 1, 3)
 
 
 def mppi_weights(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately naive (scalar loops, central finite
-differences) and shares no code with the package internals it checks.
+differences, dense solves) and shares no code with the package internals it checks.
 """
 
 import math
@@ -76,3 +76,28 @@ def fd_vector_grad(fn, x, h: float = 1e-5) -> np.ndarray:
         down[i] -= h
         grad[i] = (fn(up) - fn(down)) / (2 * h)
     return grad
+
+
+def finite_difference_matrix(horizon: int) -> np.ndarray:
+    """The second-order finite-difference (acceleration) matrix over the horizon.
+
+    Rows slide the stencil (1, -2, 1) along the diagonal; the first two rows
+    pin the start of the trajectory and the two rows that would pin the end
+    are dropped. The result is unit-diagonal lower-triangular, so ``A^T A``
+    is symmetric positive definite.
+    """
+    if horizon < 2:
+        raise ValueError("horizon must be >= 2")
+    a = np.zeros((horizon, horizon))
+    a[0, 0] = 1.0
+    a[1, 0] = -2.0
+    a[1, 1] = 1.0
+    for i in range(2, horizon):
+        a[i, i - 2 : i + 1] = (1.0, -2.0, 1.0)
+    return a
+
+
+def smooth_noise_covariance(horizon: int) -> np.ndarray:
+    """``(A^T A)^-1`` by a dense solve: the covariance of unit-scale smooth noise."""
+    inv = np.linalg.solve(finite_difference_matrix(horizon), np.eye(horizon))
+    return inv @ inv.T

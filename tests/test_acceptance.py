@@ -19,9 +19,9 @@ from ebmplan.baselines import ActionFFModel, ff_mse_loss_and_grads
 from ebmplan.energy import EnergyModel, contrastive_loss_and_grads, make_energy_model
 from ebmplan.envs import make_env
 from ebmplan.experiments import ExperimentConfig, run_experiment
-from ebmplan.nn import backward, forward_cached, load_mlp, mlp_forward, mlp_init, save_mlp
+from ebmplan.nn import backward, forward_cached, load_mlp, mlp_init, save_mlp
 from ebmplan.planner import PlannerConfig, SmoothNoiseGen, plan
-from oracles import fd_param_grads, max_rel_error
+from oracles import fd_param_grads, max_rel_error, smooth_noise_covariance
 
 CONFIG_DIR = Path(ebmplan.__file__).resolve().parent / "configs"
 
@@ -77,7 +77,8 @@ def test_c01_gradient_suite():
         net = mlp_init([3, *widths, 1], rng)
         x = rng.normal(size=3)
         analytic, _ = backward(net, forward_cached(net, x[None])[1], np.ones(1)[None])
-        numeric = fd_param_grads(lambda p: float(mlp_forward(p, x)[0]), net, h=1e-5)
+        numeric = fd_param_grads(lambda p: float(forward_cached(p, x[None])[0][0, 0]), net,
+                                 h=1e-5)
         worst = max(worst, max_rel_error(analytic, numeric))
         # contrastive loss gradients
         model = make_energy_model(2, rng, (6, 6))
@@ -127,9 +128,9 @@ def test_c03_smooth_noise_covariance():
     t0 = time.time()
     gen = SmoothNoiseGen(8, 1)
     scale = 0.2
-    draws = gen.sample(scale, np.random.default_rng(0), n=100_000)[:, :, 0]
+    draws = gen.sample(np.array([scale]), np.random.default_rng(0), n=100_000)[0][:, :, 0]
     empirical = np.cov(draws.T, bias=True)
-    expected = scale**2 * gen.covariance()
+    expected = scale**2 * smooth_noise_covariance(gen.horizon)
     rel = float(np.max(np.abs(empirical - expected) / np.abs(expected)))
     elapsed = time.time() - t0
     report(3, "smooth-noise covariance", rel < 0.10, elapsed, 10,

@@ -11,7 +11,7 @@ from ebmplan.baselines import (
     make_action_ff,
 )
 from ebmplan.envs import make_env, particle_env
-from ebmplan.nn import MlpParams, adam_step, init_adam_state, mlp_forward, mlp_init
+from ebmplan.nn import MlpParams, adam_step, forward_cached, init_adam_state, mlp_init
 from ebmplan.planner import PlannerConfig, mppi_refine
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
@@ -40,7 +40,7 @@ def test_ff_predict_zero_model_gives_zero_state():
     model = make_action_ff(2, 2, np.random.default_rng(0), (8,))
     for w in model.net.weights:
         w[:] = 0.0
-    out = ff_predict(model, np.array([0.4, -0.2]), np.array([0.01, 0.02]))
+    out = ff_predict(model, np.array([[0.4, -0.2]]), np.array([[0.01, 0.02]]))[0]
     assert np.array_equal(out, np.zeros(2))
 
 
@@ -48,7 +48,8 @@ def test_ff_predict_is_forward_on_concatenation():
     model = make_action_ff(2, 2, np.random.default_rng(1), (8, 8))
     s, a = np.array([0.1, 0.9]), np.array([-0.03, 0.02])
     assert np.array_equal(
-        ff_predict(model, s, a), mlp_forward(model.net, np.concatenate([s, a]))
+        ff_predict(model, s[None], a[None]),
+        forward_cached(model.net, np.concatenate([s, a])[None])[0],
     )
 
 
@@ -56,13 +57,13 @@ def test_ff_predict_matches_naive_reference():
     model = make_action_ff(2, 2, np.random.default_rng(2), (6, 6))
     s, a = np.array([0.3, -0.8]), np.array([0.04, -0.01])
     expected = naive_mlp_forward(model.net, np.concatenate([s, a]))
-    assert np.allclose(ff_predict(model, s, a), expected, rtol=1e-12)
+    assert np.allclose(ff_predict(model, s[None], a[None])[0], expected, rtol=1e-12)
 
 
 def test_ff_predict_dimension_mismatch_raises():
     model = make_action_ff(2, 2, np.random.default_rng(3), (4,))
     with pytest.raises(ValueError):
-        ff_predict(model, np.zeros(3), np.zeros(2))
+        ff_predict(model, np.zeros((1, 3)), np.zeros((1, 2)))
 
 
 def test_ff_train_step_exact_model_has_zero_loss_and_grads():
@@ -143,7 +144,7 @@ def test_ff_plan_single_sample_degenerate_weights():
     # single sample always receives weight one; rollout must stay consistent
     rolled = np.zeros(2)
     for t in range(3):
-        rolled = ff_predict(model, rolled, actions[t])
+        rolled = ff_predict(model, rolled[None], actions[None, t])[0]
         assert np.allclose(predicted[t + 1], rolled, rtol=1e-12)
 
 
@@ -178,7 +179,7 @@ def test_ff_plan_trajectory_is_rollout_of_actions():
         state = np.array([0.2, 0.2])
         assert np.array_equal(predicted[0], state)
         for t in range(actions.shape[0]):
-            state = ff_predict(model, state, actions[t])
+            state = ff_predict(model, state[None], actions[None, t])[0]
             assert np.array_equal(predicted[t + 1], state)
 
 

@@ -16,7 +16,7 @@ from ebmplan.energy import (
     trajectory_energies,
     transition_energies,
 )
-from ebmplan.nn import adam_step, init_adam_state, mlp_forward, mlp_init
+from ebmplan.nn import adam_step, forward_cached, init_adam_state, mlp_init
 from ebmplan.planner import mppi_weights
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
 
@@ -44,8 +44,8 @@ def test_zero_model_energy_is_zero():
 def test_transition_energy_is_forward_on_concatenation():
     model = seeded_model(4)
     a, b = np.array([0.1, 0.2]), np.array([-0.4, 0.5])
-    pair = pack_pairs(a, b)
-    assert transition_energies(model, pair[None])[0] == float(mlp_forward(model.net, pair)[0])
+    pair = pack_pairs(a[None], b[None])
+    assert transition_energies(model, pair)[0] == float(forward_cached(model.net, pair)[0][0, 0])
 
 
 def test_transition_energy_matches_naive_reference():
@@ -78,7 +78,7 @@ def test_trajectory_energy_single_pair():
     traj = random_traj(2, 2)
     assert np.isclose(
         trajectory_energies(model, traj[None])[0],
-        transition_energies(model, pack_pairs(traj[0], traj[1])[None])[0],
+        transition_energies(model, pack_pairs(traj[None, 0], traj[None, 1]))[0],
         rtol=1e-12,
     )
 
@@ -140,8 +140,8 @@ def test_fixed_goal_score_zero_model_and_two_term_expansion():
     traj = random_traj(11, 2)
     goal = np.array([0.4, 0.4])
     expected = (
-        transition_energies(model, pack_pairs(traj[0], traj[1])[None])[0]
-        + transition_energies(model, pack_pairs(traj[1], goal)[None])[0]
+        transition_energies(model, pack_pairs(traj[None, 0], traj[None, 1]))[0]
+        + transition_energies(model, pack_pairs(traj[None, 1], goal[None]))[0]
     )
     assert np.isclose(fixed_goal_scores(model, traj[None], goal)[0], expected, rtol=1e-12)
 
@@ -151,8 +151,9 @@ def test_fixed_goal_score_term_by_term_oracle():
     traj = random_traj(13, 5)
     goal = np.array([-0.3, 0.9])
     expected = sum(
-        transition_energies(model, pack_pairs(traj[t], traj[t + 1])[None])[0] for t in range(4)
-    ) + transition_energies(model, pack_pairs(traj[-1], goal)[None])[0]
+        transition_energies(model, pack_pairs(traj[None, t], traj[None, t + 1]))[0]
+        for t in range(4)
+    ) + transition_energies(model, pack_pairs(traj[None, -1], goal[None]))[0]
     assert np.isclose(fixed_goal_scores(model, traj[None], goal)[0], expected, rtol=1e-10)
 
 
@@ -180,7 +181,8 @@ def test_reward_score_term_by_term_oracle():
     traj = random_traj(19, 4)
     reward = lambda states: np.sin(states[..., 0]) + states[..., 1] ** 2
     energies = sum(
-        transition_energies(model, pack_pairs(traj[t], traj[t + 1])[None])[0] for t in range(3)
+        transition_energies(model, pack_pairs(traj[None, t], traj[None, t + 1]))[0]
+        for t in range(3)
     )
     rewards = sum(float(np.sin(s[0]) + s[1] ** 2) for s in traj)
     assert np.isclose(reward_scores(model, traj[None], reward)[0], energies - rewards, rtol=1e-10)
@@ -206,7 +208,7 @@ def test_contrastive_zero_model_loss_and_grads():
     numeric = fd_param_grads(
         lambda p: float(
             np.mean(
-                mlp_forward(p, pos)[:, 0] - mlp_forward(p, neg)[:, 0]
+                forward_cached(p, pos)[0][:, 0] - forward_cached(p, neg)[0][:, 0]
             )
         ),
         model.net,
@@ -293,7 +295,7 @@ def test_collate_concatenation_bookkeeping():
     b = rng.normal(size=(3, 2))
     joined = np.concatenate([a, b])
     expected = np.concatenate(
-        [collate(a), pack_pairs(a[-1], b[0])[None, :], collate(b)]
+        [collate(a), pack_pairs(a[None, -1], b[None, 0]), collate(b)]
     )
     assert np.allclose(collate(joined), expected, rtol=1e-15)
 
@@ -406,3 +408,14 @@ def test_softmin_weights_rows_equal_mppi_weights_bit_for_bit():
         batch = softmin_weights(scores, temperature)
         for row, weights in zip(scores, batch):
             assert np.array_equal(weights, mppi_weights(row, temperature))
+
+
+def test_softmin_weights_floor_the_exponent_at_minus_650():
+    # at temperature 0.5, spreads past 325 put the exponent past -650, where it is
+    # floored, so no weight underflows to a subnormal (below about -708) or to zero
+    scores = np.array([[0.0, 400.0, 360.0, 2000.0], [3.0, 328.0, 1e6, 3.0]])
+    weights = softmin_weights(scores, 0.5)
+    floor = np.exp(-650.0)
+    assert np.array_equal(weights, [[1.0, floor, floor, floor],
+                                    [0.5, floor / 2, floor / 2, 0.5]])
+    assert (weights >= np.finfo(float).tiny).all()

@@ -320,6 +320,22 @@ def test_obstacle_env_is_built_through_make_env(monkeypatch):
     assert np.array_equal(blocked.start_state, config.make_env().start_state)
 
 
+def test_comparison_wall_blocks_steps_across_each_face_only():
+    # the wall's faces are written out here, so a moved COMPARISON_OBSTACLE fails
+    # this test: x from 0.28 to 0.38 and y from -0.22 to 0.26
+    blocked = ExperimentConfig.from_dict({"kind": "comparison", "goal": [0.4, 0.0]}).obstacle_env()
+    # (a point in the middle of each face, the face's outward normal)
+    faces = [((0.28, 0.02), (-1.0, 0.0)), ((0.38, 0.02), (1.0, 0.0)),
+             ((0.33, -0.22), (0.0, -1.0)), ((0.33, 0.26), (0.0, 1.0))]
+    for point, normal in faces:
+        point, normal = np.array(point), np.array(normal)
+        start = point + 0.03 * normal
+        # a step that ends 0.01 outside the face moves; one that ends 0.01 inside stays put
+        outside = blocked.step(start, -0.02 * normal)
+        assert np.allclose(outside, point + 0.01 * normal, rtol=0, atol=1e-15), point
+        assert np.array_equal(blocked.step(start, -0.04 * normal), start), point
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_experiment_writes_nothing_when_a_net_diverges(tmp_path):
     config = ExperimentConfig.from_dict({

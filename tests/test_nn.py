@@ -8,11 +8,12 @@ from ebmplan.nn import (
     MlpParams,
     adam_step,
     backward,
+    check_update,
     forward_cached,
     init_adam_state,
     load_mlp,
-    mlp_forward,
     mlp_init,
+    param_norm,
     save_mlp,
 )
 from oracles import fd_param_grads, fd_vector_grad, max_rel_error, naive_mlp_forward
@@ -26,30 +27,30 @@ def test_forward_zero_parameters_is_zero_map():
     net = small_net(0)
     for w in net.weights:
         w[:] = 0.0
-    out = mlp_forward(net, np.array([0.7, -1.2, 3.0]))
+    out = forward_cached(net, np.array([0.7, -1.2, 3.0])[None])[0][0]
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_forward_single_identity_layer():
     net = MlpParams.from_layers([np.array([[1.0, 1.0]])], [np.array([0.0])])
-    assert mlp_forward(net, np.array([2.0, 3.0]))[0] == 5.0
+    assert forward_cached(net, np.array([2.0, 3.0])[None])[0][0, 0] == 5.0
 
 
 def test_forward_matches_naive_reference():
     net = small_net(42, dims=(4, 6, 3))
     x = np.random.default_rng(7).normal(size=4)
     expected = naive_mlp_forward(net, x)
-    got = mlp_forward(net, x)
+    got = forward_cached(net, x[None])[0][0]
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-14)
 
 
 def test_forward_is_pure_and_batch_consistent():
     net = small_net(3)
     x = np.array([0.1, 0.2, -0.3])
-    a = mlp_forward(net, x)
-    b = mlp_forward(net, x)
+    a = forward_cached(net, x[None])[0][0]
+    b = forward_cached(net, x[None])[0][0]
     assert np.array_equal(a, b)
-    batch = mlp_forward(net, np.stack([x, x, 2 * x]))
+    batch = forward_cached(net, np.stack([x, x, 2 * x]))[0]
     assert np.array_equal(batch[0], batch[1])
     assert np.allclose(batch[0], a, rtol=1e-15)
 
@@ -108,8 +109,10 @@ def test_astype_returns_fresh_arrays():
 
 def test_forward_dimension_mismatch_raises():
     net = small_net(1)
-    with pytest.raises(ValueError):
-        mlp_forward(net, np.zeros(4))
+    with pytest.raises(ValueError, match="input dim 4 != network in_dim 3"):
+        forward_cached(net, np.zeros(4)[None])
+    with pytest.raises(ValueError, match="expects a \\(n, in_dim\\) batch"):
+        forward_cached(net, np.zeros(3))
 
 
 def test_params_validation_catches_broken_chain():
@@ -147,9 +150,9 @@ def test_gradients_match_finite_differences():
         x = np.random.default_rng(seed + 100).normal(size=3)
         cot = np.random.default_rng(seed + 200).normal(size=2)
         analytic, x_cot = backward(net, forward_cached(net, x[None])[1], cot[None])
-        numeric = fd_param_grads(lambda p: float(mlp_forward(p, x) @ cot), net)
+        numeric = fd_param_grads(lambda p: float(forward_cached(p, x[None])[0][0] @ cot), net)
         assert max_rel_error(analytic, numeric) < 1e-4
-        fd_x = fd_vector_grad(lambda v: float(mlp_forward(net, v) @ cot), x)
+        fd_x = fd_vector_grad(lambda v: float(forward_cached(net, v[None])[0][0] @ cot), x)
         assert np.allclose(x_cot[0], fd_x, rtol=1e-4, atol=1e-8)
 
 
@@ -161,7 +164,8 @@ def test_gradient_check_random_nets_within_spec_tolerance():
         net = mlp_init(widths + [1], rng)
         x = rng.normal(size=widths[0])
         analytic, _ = backward(net, forward_cached(net, x[None])[1], np.ones(1)[None])
-        numeric = fd_param_grads(lambda p: float(mlp_forward(p, x)[0]), net, h=1e-5)
+        numeric = fd_param_grads(lambda p: float(forward_cached(p, x[None])[0][0, 0]), net,
+                                 h=1e-5)
         assert max_rel_error(analytic, numeric) < 1e-4
 
 
@@ -329,3 +333,22 @@ def test_layer_views_share_the_flat_vector():
             net.like(np.zeros(size))
     with pytest.raises(ValueError):
         MlpParams.from_layers([np.zeros((4, 3))], [np.zeros(3)])
+
+
+def test_check_update_allows_exactly_100_times_the_initial_norm():
+    # the factor is written out here, so a moved guard fails this test
+    initial = 2.5
+
+    def one_weight(value):
+        params = MlpParams.from_layers([np.array([[value]])], [np.zeros(1)])
+        assert param_norm(params) == value
+        return params
+
+    check_update("online update 3", 0.25, one_weight(100.0 * initial), initial)
+    above = np.nextafter(100.0 * initial, np.inf)
+    with pytest.raises(ValueError, match="numerical blow-up: online update 3: loss 0.25, "
+                                         "parameter norm 250 from 2.5 before the first update"):
+        check_update("online update 3", 0.25, one_weight(above), initial)
+    for loss in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="numerical blow-up: pretrain step 0: loss"):
+            check_update("pretrain step 0", loss, one_weight(1.0), initial)

@@ -10,12 +10,12 @@ from ebmplan.planner import (
     NOISE_DECAY,
     PlannerConfig,
     SmoothNoiseGen,
-    finite_difference_matrix,
     mppi_refine,
     mppi_weights,
     plan,
     plan_target,
 )
+from oracles import finite_difference_matrix, smooth_noise_covariance
 
 
 def zero_model(state_dim=2):
@@ -65,16 +65,16 @@ def test_finite_difference_matrix_rejects_short_horizon():
 
 def test_smooth_noise_zero_scale_and_shape():
     gen = SmoothNoiseGen(6, 3)
-    sample = gen.sample(0.0, np.random.default_rng(1))
+    sample = gen.sample(np.array([0.0]), np.random.default_rng(1), n=1)[0, 0]
     assert sample.shape == (6, 3)
     assert np.array_equal(sample, np.zeros((6, 3)))
-    batch = gen.sample(0.5, np.random.default_rng(2), n=4)
+    batch = gen.sample(np.array([0.5]), np.random.default_rng(2), n=4)[0]
     assert batch.shape == (4, 6, 3)
 
 
 def test_smooth_noise_factorization_reproduces_precision():
     factor = finite_difference_matrix(8)
-    identity = SmoothNoiseGen(8, 1).covariance() @ (factor.T @ factor)
+    identity = smooth_noise_covariance(8) @ (factor.T @ factor)
     assert np.allclose(identity, np.eye(8), atol=1e-8)
 
 
@@ -92,9 +92,9 @@ def test_smooth_noise_horizon_one_is_plain_gaussian_noise():
 def test_smooth_noise_empirical_covariance():
     gen = SmoothNoiseGen(5, 1)
     scale = 0.3
-    draws = gen.sample(scale, np.random.default_rng(3), n=40000)[:, :, 0]
+    draws = gen.sample(np.array([scale]), np.random.default_rng(3), n=40000)[0][:, :, 0]
     empirical = np.cov(draws.T, bias=True)
-    expected = scale**2 * gen.covariance()
+    expected = scale**2 * smooth_noise_covariance(gen.horizon)
     assert np.max(np.abs(empirical - expected) / np.abs(expected)) < 0.1
 
 
@@ -121,15 +121,20 @@ def test_smooth_noise_scale_array_equals_scalar_draws_in_order():
             expected = reference_smooth_noise(horizon, dim, scale, ref_rng, n)
             assert np.array_equal(stacked[k], expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        # the scalar form and the n=None form are the K = 1 and n = 1 cases
-        single = gen.sample(scales[2], np.random.default_rng(1), n=n)
+        # one scale (K = 1) and one draw per scale (n = 1) are batches too
+        single = gen.sample(scales[2:3], np.random.default_rng(1), n=n)[0]
         expected = reference_smooth_noise(horizon, dim, scales[2], np.random.default_rng(1), n)
         assert np.array_equal(single, expected)
-        one = gen.sample(scales[:2], np.random.default_rng(2))
-        assert one.shape == (2, horizon, dim)
-        assert np.array_equal(one[1], gen.sample(scales[:2], np.random.default_rng(2), n=1)[1, 0])
-    with pytest.raises(ValueError):
-        gen.sample(np.array([0.1, -0.1]), np.random.default_rng(0))
+        ref_rng = np.random.default_rng(2)
+        one = gen.sample(scales[:2], np.random.default_rng(2), n=1)
+        assert one.shape == (2, 1, horizon, dim)
+        for k in range(2):
+            expected = reference_smooth_noise(horizon, dim, scales[k], ref_rng, 1)[0]
+            assert np.array_equal(one[k, 0], expected)
+    with pytest.raises(ValueError, match="non-negative"):
+        gen.sample(np.array([0.1, -0.1]), np.random.default_rng(0), n=1)
+    with pytest.raises(ValueError, match="1-D"):
+        gen.sample(0.1, np.random.default_rng(0), n=1)
 
 
 def reference_refine(candidate, project, score, config, rng):
@@ -230,7 +235,7 @@ def test_plan_single_sample_returns_that_sample():
     start = np.array([0.1, 0.1])
     traj = plan(zero_model(), start, None, config, np.random.default_rng(6))
     gen = SmoothNoiseGen(4, 2)
-    noise = gen.sample(0.3, np.random.default_rng(6), n=1)
+    noise = gen.sample(np.array([0.3]), np.random.default_rng(6), n=1)[0]
     expected = np.tile(start, (4, 1)) + noise[0]
     expected[0] = start
     assert np.allclose(traj, expected, rtol=1e-12)
