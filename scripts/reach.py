@@ -35,6 +35,9 @@ EXEMPT = (
     ("_segment_enters_rect", ("continue", "return True"), "the maze corner crossing"),
     ("_build", ("continue",), "a null optional field: no corpus config sets one"),
     ("_accepts", ("return kind is bool",), "a bool value: no corpus config sets one"),
+    ("__reduce__", ("return MlpParams, (self.flat, self.shapes)",),
+     "pickle and deepcopy of a net: no run copies one until a seed pool carries nets "
+     "to worker processes; tests/test_nn.py reaches it"),
     ("fixed_goal_scores",
      ("goal = _check_goal(model, goal)", "trajs = np.asarray(trajs, dtype=float)",
       "tail = pack_pairs(trajs[:, -1, :], np.broadcast_to(goal, trajs[:, -1, :].shape))",

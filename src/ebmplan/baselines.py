@@ -54,16 +54,10 @@ def make_action_ff(
     return ActionFFModel(mlp_init(dims, rng))
 
 
-def ff_predict(model: ActionFFModel, state: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Next-state predictions for aligned (n, state_dim) states and (n, action_dim) actions."""
-    state = np.asarray(state, dtype=float)
-    action = np.asarray(action, dtype=float)
-    if state.shape[-1] != model.state_dim or action.shape[-1] != model.action_dim:
-        raise ValueError(
-            f"expected state dim {model.state_dim} and action dim {model.action_dim}, "
-            f"got {state.shape} and {action.shape}"
-        )
-    return forward_cached(model.net, np.concatenate([state, action], axis=-1))[0]
+def ff_predict(model: ActionFFModel, rows: np.ndarray) -> np.ndarray:
+    """Next-state predictions for (n, state_dim + action_dim) rows of (state, action);
+    ``forward_cached`` rejects rows of any other width."""
+    return forward_cached(model.net, rows)[0]
 
 
 def pack_transitions(states, actions, next_states) -> np.ndarray:
@@ -105,13 +99,21 @@ def ff_train_step(
     return ActionFFModel(net), new_state, loss
 
 
-def _rollout(model: ActionFFModel, s_start: np.ndarray, action_seqs: np.ndarray) -> np.ndarray:
-    # action_seqs: (n, H, action_dim) -> predicted states (n, H + 1, state_dim)
-    n, horizon, _ = action_seqs.shape
-    states = np.empty((n, horizon + 1, model.state_dim))
-    states[:, 0, :] = s_start
+def _rollout(model: ActionFFModel, s_start: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Predicted states (H + 1, n, state_dim) of n (H, action_dim) action sequences.
+
+    Steps one (H + 1, n, state_dim + action_dim) tape in the net's dtype: every
+    action is written once, then each step writes its prediction into the
+    state columns of the next row.
+    """
+    n, horizon, _ = actions.shape
+    s_dim = model.state_dim
+    tape = np.empty((horizon + 1, n, s_dim + model.action_dim), dtype=model.net.flat.dtype)
+    tape[:horizon, :, s_dim:] = actions.transpose(1, 0, 2)
+    states = tape[:, :, :s_dim]
+    states[0] = s_start
     for t in range(horizon):
-        states[:, t + 1, :] = ff_predict(model, states[:, t, :], action_seqs[:, t, :])
+        states[t + 1] = ff_predict(model, tape[t])
     return states
 
 
@@ -133,11 +135,10 @@ def ff_plan(
     and ``config.goal_weight`` are not read. Returns the weighted-average
     action sequence together with its own model rollout, so the returned
     trajectory is exactly the prediction for the returned actions.
-    The scoring rollouts use a ``SCORING_DTYPE`` copy of the net, made once per
-    call, and step one packed (state, action) buffer of that dtype through it,
-    so only the final predicted states are upcast; the values are those of
-    ``_rollout`` on the copy. The returned rollout uses the caller's float64
-    model, which is untouched.
+    Scoring and the returned trajectory share ``_rollout``: the samples roll
+    through a ``SCORING_DTYPE`` copy of the net, made once per call, so only
+    their final predicted states are upcast, and the returned plan rolls
+    through the caller's float64 model, which is untouched.
     """
     s_start = np.asarray(s_start, dtype=float)
     goal = np.asarray(goal, dtype=float)
@@ -145,18 +146,10 @@ def ff_plan(
         raise ValueError(f"start shape {s_start.shape} != ({model.state_dim},)")
     if goal.shape != (model.state_dim,):
         raise ValueError(f"goal shape {goal.shape} != ({model.state_dim},)")
-    scorer = model.net.astype(SCORING_DTYPE)
-    s_dim = model.state_dim
-    packed = np.empty((config.num_samples, s_dim + model.action_dim), dtype=SCORING_DTYPE)
+    scorer = ActionFFModel(model.net.astype(SCORING_DTYPE))
 
     def distance_to_goal(samples: np.ndarray) -> np.ndarray:
-        # each step writes its actions beside the predicted states and overwrites
-        # the states with the next prediction
-        packed[:, :s_dim] = s_start
-        for t in range(samples.shape[1]):
-            packed[:, s_dim:] = samples[:, t, :]
-            packed[:, :s_dim] = forward_cached(scorer, packed)[0]
-        return ((packed[:, :s_dim].astype(float) - goal) ** 2).sum(axis=1)
+        return ((_rollout(scorer, s_start, samples)[-1].astype(float) - goal) ** 2).sum(axis=1)
 
     candidate = mppi_refine(
         np.zeros((config.horizon - 1, model.action_dim)),
@@ -165,5 +158,4 @@ def ff_plan(
         config,
         rng,
     )
-    return candidate, _rollout(model, s_start, candidate[None])[0]
-
+    return candidate, _rollout(model, s_start, candidate[None])[:, 0]

@@ -65,6 +65,10 @@ class MlpParams:
         if self.flat.shape != (end,):
             raise ValueError(f"flat parameters of shape {self.flat.shape} != ({end},)")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild the views over the restored ``flat``
+        return MlpParams, (self.flat, self.shapes)
+
     @classmethod
     def from_layers(cls, weights, biases) -> "MlpParams":
         """Pack per-layer weights and biases into one flat vector (a copy)."""

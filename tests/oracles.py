@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from ebmplan.nn import MlpParams
+from ebmplan.nn import MlpParams, forward_cached
 
 
 def naive_mlp_forward(params: MlpParams, x) -> list[float]:
@@ -101,3 +101,21 @@ def smooth_noise_covariance(horizon: int) -> np.ndarray:
     """``(A^T A)^-1`` by a dense solve: the covariance of unit-scale smooth noise."""
     inv = np.linalg.solve(finite_difference_matrix(horizon), np.eye(horizon))
     return inv @ inv.T
+
+
+def packed_rollout_final_states(net: MlpParams, s_start, samples) -> np.ndarray:
+    """Final predicted states of (n, H, action_dim) action sequences under a
+    forward model ``s' = net(s, a)``, in the net's dtype.
+
+    One packed (n, state_dim + action_dim) buffer: each step writes its actions
+    beside the predicted states and overwrites the states with the next
+    prediction. It shares only the forward pass with the rollout it checks.
+    """
+    n, horizon, action_dim = samples.shape
+    s_dim = net.out_dim
+    packed = np.empty((n, s_dim + action_dim), dtype=net.flat.dtype)
+    packed[:, :s_dim] = s_start
+    for t in range(horizon):
+        packed[:, s_dim:] = samples[:, t, :]
+        packed[:, :s_dim] = forward_cached(net, packed)[0]
+    return packed[:, :s_dim]

@@ -13,7 +13,12 @@ from ebmplan.baselines import (
 from ebmplan.envs import make_env, particle_env
 from ebmplan.nn import MlpParams, adam_step, forward_cached, init_adam_state, mlp_init
 from ebmplan.planner import PlannerConfig, mppi_refine
-from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
+from oracles import (
+    fd_param_grads,
+    max_rel_error,
+    naive_mlp_forward,
+    packed_rollout_final_states,
+)
 
 
 def no_clip(actions):
@@ -40,7 +45,7 @@ def test_ff_predict_zero_model_gives_zero_state():
     model = make_action_ff(2, 2, np.random.default_rng(0), (8,))
     for w in model.net.weights:
         w[:] = 0.0
-    out = ff_predict(model, np.array([[0.4, -0.2]]), np.array([[0.01, 0.02]]))[0]
+    out = ff_predict(model, np.array([[0.4, -0.2, 0.01, 0.02]]))[0]
     assert np.array_equal(out, np.zeros(2))
 
 
@@ -48,7 +53,7 @@ def test_ff_predict_is_forward_on_concatenation():
     model = make_action_ff(2, 2, np.random.default_rng(1), (8, 8))
     s, a = np.array([0.1, 0.9]), np.array([-0.03, 0.02])
     assert np.array_equal(
-        ff_predict(model, s[None], a[None]),
+        ff_predict(model, np.concatenate([s, a])[None]),
         forward_cached(model.net, np.concatenate([s, a])[None])[0],
     )
 
@@ -57,13 +62,13 @@ def test_ff_predict_matches_naive_reference():
     model = make_action_ff(2, 2, np.random.default_rng(2), (6, 6))
     s, a = np.array([0.3, -0.8]), np.array([0.04, -0.01])
     expected = naive_mlp_forward(model.net, np.concatenate([s, a]))
-    assert np.allclose(ff_predict(model, s[None], a[None])[0], expected, rtol=1e-12)
+    assert np.allclose(ff_predict(model, np.concatenate([s, a])[None])[0], expected, rtol=1e-12)
 
 
 def test_ff_predict_dimension_mismatch_raises():
     model = make_action_ff(2, 2, np.random.default_rng(3), (4,))
     with pytest.raises(ValueError):
-        ff_predict(model, np.zeros((1, 3)), np.zeros((1, 2)))
+        ff_predict(model, np.zeros((1, 5)))
 
 
 def test_ff_train_step_exact_model_has_zero_loss_and_grads():
@@ -144,7 +149,7 @@ def test_ff_plan_single_sample_degenerate_weights():
     # single sample always receives weight one; rollout must stay consistent
     rolled = np.zeros(2)
     for t in range(3):
-        rolled = ff_predict(model, rolled[None], actions[None, t])[0]
+        rolled = ff_predict(model, np.concatenate([rolled, actions[t]])[None])[0]
         assert np.allclose(predicted[t + 1], rolled, rtol=1e-12)
 
 
@@ -179,19 +184,35 @@ def test_ff_plan_trajectory_is_rollout_of_actions():
         state = np.array([0.2, 0.2])
         assert np.array_equal(predicted[0], state)
         for t in range(actions.shape[0]):
-            state = ff_predict(model, state[None], actions[None, t])[0]
+            state = ff_predict(model, np.concatenate([state, actions[t]])[None])[0]
             assert np.array_equal(predicted[t + 1], state)
 
 
+def test_rollout_on_a_float32_copy_is_the_packed_oracle_bit_for_bit():
+    model = make_action_ff(2, 2, np.random.default_rng(9), (16, 16))
+    scorer = ActionFFModel(model.net.astype(np.float32))
+    start = np.array([0.3, 0.25])
+    rng = np.random.default_rng(10)
+    for horizon in (2, 14):
+        for n in (1, 128):
+            actions = rng.uniform(-0.05, 0.05, (n, horizon - 1, 2))
+            rolled = _rollout(scorer, start, actions)
+            assert rolled.shape == (horizon, n, 2) and rolled.dtype == np.float32
+            assert np.array_equal(rolled[0], np.tile(start.astype(np.float32), (n, 1)))
+            expected = packed_rollout_final_states(scorer.net, start, actions)
+            assert np.array_equal(rolled[-1], expected)
+
+
 def test_ff_plan_packed_scorer_matches_rollout_scorer():
-    # the packed float32 buffer must score exactly as _rollout on a float32 copy
+    # ff_plan scores through _rollout exactly as the packed float32 buffer does
     spec = particle_env()
     model = make_action_ff(2, 2, np.random.default_rng(8), (16, 16))
-    scorer = ActionFFModel(model.net.astype(np.float32))
+    scorer = model.net.astype(np.float32)
     start, goal = np.array([0.3, 0.25]), np.array([0.65, 0.53])
 
-    def rollout_distance(samples):
-        return ((_rollout(scorer, start, samples)[:, -1, :] - goal) ** 2).sum(axis=1)
+    def packed_distance(samples):
+        final = packed_rollout_final_states(scorer, start, samples)
+        return ((final.astype(float) - goal) ** 2).sum(axis=1)
 
     for horizon in (14, 2):
         config = PlannerConfig(
@@ -200,7 +221,7 @@ def test_ff_plan_packed_scorer_matches_rollout_scorer():
         )
         candidate = np.zeros((horizon - 1, 2))
         expected = mppi_refine(
-            candidate, spec.clip_action, rollout_distance, config, np.random.default_rng(3)
+            candidate, spec.clip_action, packed_distance, config, np.random.default_rng(3)
         )
         actions, _ = ff_plan(model, start, goal, config, np.random.default_rng(3), spec.clip_action)
         assert np.array_equal(actions, expected)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -334,6 +337,19 @@ def test_layer_views_share_the_flat_vector():
     with pytest.raises(ValueError):
         MlpParams.from_layers([np.zeros((4, 3))], [np.zeros(3)])
 
+
+def test_pickle_and_deepcopy_keep_the_layer_views_on_flat():
+    net = small_net(22, dims=(3, 5, 2))
+    for q in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert not np.shares_memory(q.flat, net.flat)
+        assert np.array_equal(q.flat, net.flat) and q.shapes == net.shapes
+        for view in q.weights + q.biases:
+            assert np.shares_memory(view, q.flat)
+        q.weights[0][1, 2] = 7.0
+        q.biases[1][0] = -3.0
+        assert q.flat[1 * 3 + 2] == 7.0
+        assert q.flat[3 * 5 + 5 + 5 * 2] == -3.0
+        assert net.flat[1 * 3 + 2] != 7.0
 
 def test_check_update_allows_exactly_100_times_the_initial_norm():
     # the factor is written out here, so a moved guard fails this test
