@@ -6,8 +6,9 @@ starts before ``ebmplan`` is imported, so module-level lines count too. Each
 executable line that no run reached prints as ``<file>:<line> <function>:
 <text>``, except the lines of ``raise`` statements and ``except`` clauses: the
 corpus holds only runs that succeed. A missed line on the exempt list below
-prints with its reason. The script exits 1 if a run fails or a line off the
-exempt list is missed:
+prints with its reason, and an exempt text that matches no missed line prints
+as ``stale exemption: <function>: <text>``. The script exits 1 if a run fails,
+a line off the exempt list is missed, or an exemption is stale:
 
     python3 scripts/reach.py
 """
@@ -77,6 +78,12 @@ def exempt_reason(function: str, text: str) -> str | None:
     return None
 
 
+def stale_exemptions(missed: set[tuple[str, str]]) -> list[tuple[str, str]]:
+    """The exempt (function, text) entries that match no missed line."""
+    return [(name, text) for name, texts, _ in EXEMPT for text in texts
+            if (name, text) not in missed]
+
+
 def main() -> int:
     # no ignoredirs: trace caches what it ignores by bare module name, so an ignored
     # package's __init__ (setuptools' _distutils_hack, say) would hide ebmplan's
@@ -85,7 +92,7 @@ def main() -> int:
     outputs = tracer.runfunc(lambda: list(digests(str(ROOT / "src"))))
     failed = [line for line in outputs if " exit " in line]  # "<run> exit <code>"
     reached = {(Path(name), line) for name, line in tracer.results().counts}
-    blocking = 0
+    blocking, missed = 0, set()
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         tree = ast.parse(source)
@@ -94,15 +101,19 @@ def main() -> int:
             if (path, line) in reached:
                 continue
             function, text = owner.get(line, "<module>"), texts[line - 1].strip()
+            missed.add((function, text))
             reason = exempt_reason(function, text)
             blocking += reason is None
             note = "" if reason is None else f"  [exempt: {reason}]"
             print(f"{path.relative_to(ROOT)}:{line} {function}: {text}{note}")
+    stale = stale_exemptions(missed)
+    for function, text in stale:
+        print(f"stale exemption: {function}: {text}")
     for line in failed:
         print(f"failed run: {line}")
-    print(f"{blocking} missed lines off the exempt list, {len(failed)} failed runs, "
-          f"over {len(outputs)} outputs")
-    return 1 if blocking or failed else 0
+    print(f"{blocking} missed lines off the exempt list, {len(stale)} stale exemptions, "
+          f"{len(failed)} failed runs, over {len(outputs)} outputs")
+    return 1 if blocking or stale or failed else 0
 
 
 if __name__ == "__main__":

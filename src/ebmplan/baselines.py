@@ -65,16 +65,16 @@ def pack_transitions(states, actions, next_states) -> np.ndarray:
     return np.concatenate([states, actions, next_states], axis=1)
 
 
-def ff_mse_loss_and_grads(model: ActionFFModel, states, actions, next_states):
-    """Mean squared prediction error over the batch and its exact gradients."""
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    actions = np.atleast_2d(np.asarray(actions, dtype=float))
-    next_states = np.atleast_2d(np.asarray(next_states, dtype=float))
-    n = states.shape[0]
-    if n == 0:
-        raise ValueError("batch must be non-empty")
-    pred, cache = forward_cached(model.net, np.concatenate([states, actions], axis=1))
-    err = pred - next_states
+def ff_mse_loss_and_grads(model: ActionFFModel, rows: np.ndarray):
+    """Mean squared prediction error over a batch of ``pack_transitions`` rows and
+    its exact gradients: the net reads each row's (s, a) and fits its s'."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    in_dim, width = model.net.in_dim, model.net.in_dim + model.net.out_dim
+    if rows.shape[0] == 0 or rows.shape[1] != width:
+        raise ValueError(f"expected a non-empty (n, {width}) batch of (s, a, s') rows, "
+                         f"got {rows.shape}")
+    pred, cache = forward_cached(model.net, rows[:, :in_dim])
+    err = pred - rows[:, in_dim:]
     loss = float(np.mean(err**2))
     # d loss / d pred for mean over n * state_dim entries
     grads, _ = backward(model.net, cache, 2.0 * err / err.size)
@@ -92,9 +92,7 @@ def ff_train_step(
     ``batch`` holds one array of ``pack_transitions`` rows.
     """
     (rows,) = batch
-    s_dim, a_dim = model.state_dim, model.action_dim
-    states, actions, next_states = np.split(rows, [s_dim, s_dim + a_dim], axis=1)
-    loss, grads = ff_mse_loss_and_grads(model, states, actions, next_states)
+    loss, grads = ff_mse_loss_and_grads(model, rows)
     net, new_state = adam_step(model.net, grads, adam_state, learning_rate)
     return ActionFFModel(net), new_state, loss
 

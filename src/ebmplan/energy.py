@@ -4,7 +4,8 @@ Data conventions used throughout the package:
 
 * a state is a float vector of length ``state_dim``;
 * a transition pair packs two consecutive states into one row of length
-  ``2 * state_dim`` (``pack_pairs`` builds such rows);
+  ``2 * state_dim``; ``pack_pairs`` is the one packer of such rows, and
+  ``nn.forward_cached`` the one check of their width;
 * a trajectory is a (T, state_dim) array with T >= 2, and a batch of
   trajectories is (n, T, state_dim).
 
@@ -56,29 +57,12 @@ def make_energy_model(
 
 
 def pack_pairs(s_from: np.ndarray, s_to: np.ndarray) -> np.ndarray:
-    """Concatenate aligned (n, state_dim) from/to states into n pair rows."""
+    """Concatenate aligned (..., state_dim) from/to states into (..., 2 * state_dim) pairs."""
     s_from = np.asarray(s_from, dtype=float)
     s_to = np.asarray(s_to, dtype=float)
     if s_from.shape != s_to.shape:
         raise ValueError(f"state shapes differ: {s_from.shape} vs {s_to.shape}")
     return np.concatenate([s_from, s_to], axis=-1)
-
-
-def collate(traj: np.ndarray) -> np.ndarray:
-    """Split a trajectory of T states into its T-1 consecutive pair rows."""
-    traj = np.asarray(traj, dtype=float)
-    if traj.ndim != 2 or traj.shape[0] < 2:
-        raise ValueError("a trajectory is a (T, state_dim) array with T >= 2")
-    if not np.isfinite(traj).all():
-        raise ValueError("trajectory contains non-finite entries")
-    return _collate_batch(traj[None])
-
-
-def _collate_batch(trajs: np.ndarray) -> np.ndarray:
-    # (n, T, d) -> (n * (T-1), 2d), pairs of trajectory i contiguous.
-    return np.concatenate([trajs[:, :-1, :], trajs[:, 1:, :]], axis=2).reshape(
-        trajs.shape[0] * (trajs.shape[1] - 1), 2 * trajs.shape[2]
-    )
 
 
 def transition_energies(model: EnergyModel, pairs: np.ndarray) -> np.ndarray:
@@ -87,9 +71,6 @@ def transition_energies(model: EnergyModel, pairs: np.ndarray) -> np.ndarray:
     The net computes in its own dtype; a ``SCORING_DTYPE`` net's energies are
     upcast, so sums over pairs and the terms added to them stay in float64.
     """
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2 * model.state_dim:
-        raise ValueError(f"expected (n, {2 * model.state_dim}) pair batch, got {pairs.shape}")
     return forward_cached(model.net, pairs)[0][:, 0].astype(float)
 
 
@@ -98,9 +79,9 @@ def trajectory_energies(model: EnergyModel, trajs: np.ndarray) -> np.ndarray:
     trajs = np.asarray(trajs, dtype=float)
     if trajs.ndim != 3 or trajs.shape[1] < 2 or trajs.shape[2] != model.state_dim:
         raise ValueError(f"expected (n, T>=2, {model.state_dim}) batch, got {trajs.shape}")
-    n, T, _ = trajs.shape
-    energies = transition_energies(model, _collate_batch(trajs))
-    return energies.reshape(n, T - 1).sum(axis=1)
+    n, T, d = trajs.shape
+    pairs = pack_pairs(trajs[:, :-1], trajs[:, 1:]).reshape(n * (T - 1), 2 * d)
+    return transition_energies(model, pairs).reshape(n, T - 1).sum(axis=1)
 
 
 def _check_goal(model: EnergyModel, goal: np.ndarray) -> np.ndarray:
@@ -160,9 +141,6 @@ def contrastive_loss_and_grads(
     n = positives.shape[0]
     if n == 0 or negatives.shape[0] != n:
         raise ValueError(f"batches must be non-empty and equal, got {n} and {len(negatives)} rows")
-    width = 2 * model.state_dim
-    if positives.shape[1] != width or negatives.shape[1] != width:
-        raise ValueError(f"pair rows must have width {width}")
 
     e_pos, cache_pos = forward_cached(model.net, positives)
     e_neg, cache_neg = forward_cached(model.net, negatives)
@@ -246,8 +224,6 @@ def sample_negative_pairs(
     """
     seeds = np.atleast_2d(np.asarray(seed_pairs, dtype=float))
     b, width = seeds.shape
-    if width != 2 * model.state_dim:
-        raise ValueError(f"pair rows must have width {2 * model.state_dim}")
     scorer = EnergyModel(model.net.astype(SCORING_DTYPE))
     # one draw for every iteration: the same numbers as one draw per iteration
     noises = rng.normal(0.0, scale, size=(NEGATIVE_ITERS, b, NEGATIVE_SAMPLES, width))

@@ -24,7 +24,6 @@ from ._io import write_atomic
 from .baselines import ActionFFModel, ff_plan, ff_train_step, make_action_ff, pack_transitions
 from .energy import (
     EnergyModel,
-    collate,
     contrastive_train_step,
     make_energy_model,
     pack_pairs,
@@ -129,7 +128,8 @@ MODEL_KINDS = {
         action=lambda spec, target, cfg, model, state, rng: spec.inverse_dynamics(
             state, plan(model, state, target, cfg, rng)[1]),
         # executed transitions as positives, the attempted planned ones as negatives
-        fresh_rows=lambda spec, real, prefix, actions: (collate(real), collate(prefix)),
+        fresh_rows=lambda spec, real, prefix, actions: (
+            pack_pairs(real[:-1], real[1:]), pack_pairs(prefix[:-1], prefix[1:])),
         train_step=lambda *args: contrastive_train_step(*args),
         # dataset pairs as positives, negatives drawn around them from the current model
         pretrain_rows=lambda dataset: pack_pairs(dataset[0], dataset[2]),
@@ -511,6 +511,9 @@ class ExperimentConfig:
         if self.kind == "eval" and self.model_checkpoint is None:
             raise ValueError("experiment 'eval' needs model_checkpoint")
         spec = self.make_env()
+        if self.kind == "heatmap" and spec.state_dim != 2:
+            raise ValueError(f"experiment 'heatmap' needs a 2-D state space; "
+                             f"env {self.env!r} has state_dim {spec.state_dim}")
         if self.kind == "comparison":
             self.obstacle_env()
         if self.kind == "explore":

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ebmplan
-from ebmplan.baselines import ActionFFModel, ff_mse_loss_and_grads
+from ebmplan.baselines import ActionFFModel, ff_mse_loss_and_grads, pack_transitions
 from ebmplan.energy import EnergyModel, contrastive_loss_and_grads, make_energy_model
 from ebmplan.envs import make_env
 from ebmplan.experiments import ExperimentConfig, run_experiment
@@ -94,10 +94,10 @@ def test_c01_gradient_suite():
         ff = ActionFFModel(mlp_init([4, 6, 2], rng))
         s = rng.uniform(-1, 1, (3, 2))
         a = rng.uniform(-0.05, 0.05, (3, 2))
-        s2 = rng.uniform(-1, 1, (3, 2))
-        _, grads = ff_mse_loss_and_grads(ff, s, a, s2)
+        rows = pack_transitions(s, a, rng.uniform(-1, 1, (3, 2)))
+        _, grads = ff_mse_loss_and_grads(ff, rows)
         numeric = fd_param_grads(
-            lambda p: ff_mse_loss_and_grads(ActionFFModel(p), s, a, s2)[0],
+            lambda p: ff_mse_loss_and_grads(ActionFFModel(p), rows)[0],
             ff.net, h=1e-5,
         )
         worst = max(worst, max_rel_error(grads, numeric))

@@ -9,6 +9,7 @@ from ebmplan.baselines import (
     ff_predict,
     ff_train_step,
     make_action_ff,
+    pack_transitions,
 )
 from ebmplan.envs import make_env, particle_env
 from ebmplan.nn import MlpParams, adam_step, forward_cached, init_adam_state, mlp_init
@@ -76,12 +77,11 @@ def test_ff_train_step_exact_model_has_zero_loss_and_grads():
     rng = np.random.default_rng(4)
     s = rng.uniform(-1, 1, (16, 2))
     a = rng.uniform(-0.05, 0.05, (16, 2))
-    batch = (s, a, s + a)
-    loss, grads = ff_mse_loss_and_grads(model, *batch)
+    rows = pack_transitions(s, a, s + a)
+    loss, grads = ff_mse_loss_and_grads(model, rows)
     assert loss == 0.0
     for g in grads.weights + grads.biases:
         assert np.array_equal(g, np.zeros_like(g))
-    rows = np.concatenate(batch, axis=1)
     new_model, _, _ = ff_train_step(model, (rows,), 1e-3, init_adam_state(model.net))
     assert np.array_equal(new_model.net.weights[0], model.net.weights[0])
 
@@ -92,10 +92,10 @@ def test_ff_mse_gradients_match_finite_differences():
         model = make_action_ff(2, 2, np.random.default_rng(seed + 10), (6, 6))
         s = rng.uniform(-1, 1, (4, 2))
         a = rng.uniform(-0.05, 0.05, (4, 2))
-        s_next = rng.uniform(-1, 1, (4, 2))
-        _, analytic = ff_mse_loss_and_grads(model, s, a, s_next)
+        rows = pack_transitions(s, a, rng.uniform(-1, 1, (4, 2)))
+        _, analytic = ff_mse_loss_and_grads(model, rows)
         numeric = fd_param_grads(
-            lambda p: ff_mse_loss_and_grads(ActionFFModel(p), s, a, s_next)[0],
+            lambda p: ff_mse_loss_and_grads(ActionFFModel(p), rows)[0],
             model.net,
         )
         assert max_rel_error(analytic, numeric) < 1e-4
@@ -104,7 +104,7 @@ def test_ff_mse_gradients_match_finite_differences():
 def test_ff_empty_batch_raises():
     model = make_action_ff(1, 1, np.random.default_rng(0), (4,))
     with pytest.raises(ValueError):
-        ff_mse_loss_and_grads(model, np.empty((0, 1)), np.empty((0, 1)), np.empty((0, 1)))
+        ff_mse_loss_and_grads(model, np.empty((0, 3)))
 
 
 def test_ff_fits_linear_1d_dynamics():
@@ -121,7 +121,7 @@ def test_ff_fits_linear_1d_dynamics():
     for _ in range(2000):
         idx = batch_rng.integers(0, 512, size=64)
         model, adam, loss = ff_train_step(model, (rows[idx],), 3e-3, adam)
-    final_loss, _ = ff_mse_loss_and_grads(model, s, a, s_next)
+    final_loss, _ = ff_mse_loss_and_grads(model, rows)
     assert final_loss < 1e-4
 
 

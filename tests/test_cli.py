@@ -185,6 +185,17 @@ def test_heatmap_emits_svg(tmp_path):
     assert len(rows[1].split(",")) == config["resolution"]
 
 
+def test_heatmap_on_a_non_2d_env_exits_2_at_load(tmp_path, capsys):
+    config = {**tiny_configs(tmp_path)["heatmap"], "env": "reacher"}
+    cfg_path = write_config(tmp_path, "heatmap.json", config)
+    out = tmp_path / "out-heatmap"
+    assert main(["heatmap", "--config", cfg_path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: experiment 'heatmap' needs a 2-D state space; "
+                   "env 'reacher' has state_dim 4\n"), err
+    assert not out.exists()
+
+
 def test_mismatched_subcommand_exits_with_diagnostic(tmp_path, capsys):
     config = tiny_configs(tmp_path)["online"]
     cfg_path = write_config(tmp_path, "online.json", config)

@@ -3,7 +3,6 @@ import pytest
 
 from ebmplan.energy import (
     EnergyModel,
-    collate,
     contrastive_loss_and_grads,
     fixed_goal_scores,
     goal_scores,
@@ -16,6 +15,7 @@ from ebmplan.energy import (
     trajectory_energies,
     transition_energies,
 )
+from ebmplan.baselines import ff_train_step, make_action_ff
 from ebmplan.nn import adam_step, forward_cached, init_adam_state, mlp_init
 from ebmplan.planner import mppi_weights
 from oracles import fd_param_grads, max_rel_error, naive_mlp_forward
@@ -278,26 +278,60 @@ def test_one_step_reduces_positive_negative_gap():
     assert gap(EnergyModel(net)) < before
 
 
-def test_collate_examples():
+def consecutive_pairs(traj):
+    # a (T, state_dim) trajectory's T - 1 pair rows, as run_online's energy rows pack them
+    return pack_pairs(traj[:-1], traj[1:])
+
+
+def test_pack_pairs_of_a_trajectory_examples():
     traj = np.arange(10, dtype=float).reshape(5, 2)
-    pairs = collate(traj)
+    pairs = consecutive_pairs(traj)
     assert pairs.shape == (4, 4)
     for i in range(4):
         assert np.array_equal(pairs[i], np.concatenate([traj[i], traj[i + 1]]))
-    assert collate(traj[:2]).shape == (1, 4)
-    with pytest.raises(ValueError):
-        collate(traj[:1])
+    assert consecutive_pairs(traj[:2]).shape == (1, 4)
 
 
-def test_collate_concatenation_bookkeeping():
+def test_pack_pairs_concatenation_bookkeeping():
     rng = np.random.default_rng(70)
     a = rng.normal(size=(4, 2))
     b = rng.normal(size=(3, 2))
     joined = np.concatenate([a, b])
     expected = np.concatenate(
-        [collate(a), pack_pairs(a[None, -1], b[None, 0]), collate(b)]
+        [consecutive_pairs(a), pack_pairs(a[None, -1], b[None, 0]), consecutive_pairs(b)]
     )
-    assert np.allclose(collate(joined), expected, rtol=1e-15)
+    assert np.allclose(consecutive_pairs(joined), expected, rtol=1e-15)
+
+
+def test_pack_pairs_of_a_trajectory_batch_keeps_each_trajectory_contiguous():
+    # trajectory_energies' layout: the n * (T - 1) rows hold trajectory i's pairs in order
+    trajs = np.random.default_rng(71).normal(size=(3, 5, 2))
+    pairs = pack_pairs(trajs[:, :-1], trajs[:, 1:]).reshape(3 * 4, 4)
+    assert np.array_equal(pairs, np.concatenate([consecutive_pairs(t) for t in trajs]))
+
+
+def row_consumers():
+    # (row width, a call on rows) for every function that takes packed training rows
+    ebm = seeded_model(90)
+    ff = make_action_ff(2, 2, np.random.default_rng(91), (8,))
+    return {
+        "transition_energies": (4, lambda rows: transition_energies(ebm, rows)),
+        "contrastive_loss_and_grads": (4, lambda rows: contrastive_loss_and_grads(ebm, rows, rows)),
+        "sample_negative_pairs": (
+            4, lambda rows: sample_negative_pairs(ebm, rows, np.random.default_rng(0), 0.1)),
+        "ff_train_step": (
+            6, lambda rows: ff_train_step(ff, (rows,), 1e-3, init_adam_state(ff.net))),
+    }
+
+
+@pytest.mark.parametrize("offset", [-1, 1], ids=["narrow", "wide"])
+@pytest.mark.parametrize("consumer", sorted(row_consumers()))
+def test_every_row_consumer_rejects_rows_one_column_off(consumer, offset):
+    width, call = row_consumers()[consumer]
+    rows = np.random.default_rng(92).uniform(-0.5, 0.5, size=(5, width + 1))
+    call(rows[:, :width])
+    with pytest.raises(ValueError):
+        call(rows[:, : width + offset])
 
 
 def test_sample_negative_pairs_moves_toward_lower_energy():

@@ -78,7 +78,7 @@ def test_pretrain_rejects_bad_mode_and_empty_dataset():
 
 
 def test_pretrain_action_ff_reaches_low_mse_on_particle():
-    from ebmplan.baselines import ff_mse_loss_and_grads
+    from ebmplan.baselines import ff_mse_loss_and_grads, pack_transitions
 
     spec = particle_env()
     dataset = gen_random_dataset(spec, 2000, np.random.default_rng(4), reset_every=100)
@@ -87,7 +87,7 @@ def test_pretrain_action_ff_reaches_low_mse_on_particle():
         hidden_sizes=(32, 32), learning_rate=3e-3, batch_size=64,
         repeat_factor=100, negative_scale=0.1,
     )
-    loss, _ = ff_mse_loss_and_grads(result.model, *dataset)
+    loss, _ = ff_mse_loss_and_grads(result.model, pack_transitions(*dataset))
     assert loss < 1e-3
 
 
@@ -302,6 +302,14 @@ def test_experiment_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="env_options.start: start state lies inside a wall"):
         ExperimentConfig.from_dict({"kind": "comparison", "goal": [0.4, 0.0],
                                     "env_options": {"start": [0.3, 0.0]}})
+
+
+def test_experiment_config_rejects_a_heatmap_of_a_non_2d_env():
+    with pytest.raises(ValueError, match="^experiment 'heatmap' needs a 2-D state space; "
+                                         "env 'reacher' has state_dim 4$"):
+        ExperimentConfig.from_dict({"kind": "heatmap", "env": "reacher"})
+    for env in ("particle", "maze"):
+        assert ExperimentConfig.from_dict({"kind": "heatmap", "env": env}).env == env
 
 
 def test_obstacle_env_is_built_through_make_env(monkeypatch):

@@ -6,10 +6,10 @@ import pytest
 
 from ebmplan import online
 from ebmplan.energy import (
-    collate,
     contrastive_loss_and_grads,
     contrastive_train_step,
     make_energy_model,
+    pack_pairs,
     transition_energies,
 )
 from ebmplan.envs import maze_env, particle_env, reacher_env
@@ -130,13 +130,19 @@ def test_replay_buffer_with_replay_appends_draws_to_fresh_rows():
         assert np.array_equal(mixed[3:], buf.sample(expected_draws, np.random.default_rng(1)))
 
 
+def consecutive_pairs(traj):
+    """A (T, state_dim) trajectory's T - 1 consecutive pair rows."""
+    return pack_pairs(traj[:-1], traj[1:])
+
+
 def plan_execute_update(spec, model, goal, config, rng):
     """One online step from the start state: plan, execute, contrastive step on fresh pairs."""
     state = spec.start_state
     planned = plan(model, state, goal, config.planner, rng)
     real, prefix, _ = execute_plan(spec, state, planned, config.deviation_threshold)
     new_model, _, loss = contrastive_train_step(
-        model, (collate(real), collate(prefix)), config.learning_rate, init_adam_state(model.net)
+        model, (consecutive_pairs(real), consecutive_pairs(prefix)), config.learning_rate,
+        init_adam_state(model.net),
     )
     return new_model, real, prefix, loss
 
@@ -156,7 +162,7 @@ def test_online_train_step_grows_buffers_by_fresh_pairs():
 
     def fresh_rows(real, prefix, actions):
         assert prefix.shape == real.shape
-        fresh.append((collate(real), collate(prefix)))
+        fresh.append((consecutive_pairs(real), consecutive_pairs(prefix)))
         return fresh[-1]
 
     def train_step(model, batch, learning_rate, adam_state):
@@ -210,14 +216,14 @@ def test_online_train_step_near_perfect_planning_cancels():
     model = make_energy_model(spec.state_dim, rng, config.hidden_sizes)
     new_model, real, prefix, loss = plan_execute_update(spec, model, None, config, rng)
     assert np.allclose(real, prefix, atol=1e-8)
-    positives = collate(real)
+    positives = consecutive_pairs(real)
     energies = transition_energies(new_model, positives)
     expected = float(np.mean(2.0 * transition_energies(model, positives) ** 2))
     assert abs(loss - expected) < 1e-6
     assert energies.shape[0] == real.shape[0] - 1
     # the contrastive gap on fresh pairs stays at zero under perfect planning
-    gap = transition_energies(model, collate(real)).mean() - transition_energies(
-        model, collate(prefix)
+    gap = transition_energies(model, consecutive_pairs(real)).mean() - transition_energies(
+        model, consecutive_pairs(prefix)
     ).mean()
     assert abs(gap) < 1e-7
 
@@ -301,7 +307,7 @@ def test_run_online_ends_the_episode_at_the_first_goal_hit():
 
     def fresh_rows(real, prefix, actions):
         lengths.append((real.shape[0], prefix.shape[0], actions.shape[0]))
-        return (collate(real),)
+        return (consecutive_pairs(real),)
 
     def train_step(model, batch, learning_rate, adam_state):
         return model, adam_state, 0.0
@@ -333,7 +339,7 @@ def test_run_online_cuts_a_chunk_with_two_goal_hits_at_the_first():
     def fresh_rows(real, prefix, actions):
         chunks.append(real.copy())
         assert len(actions) == len(real) - 1 and len(prefix) == len(real)
-        return (collate(real),)
+        return (consecutive_pairs(real),)
 
     def train_step(model, batch, learning_rate, adam_state):
         return model, adam_state, 0.0
@@ -428,3 +434,23 @@ def test_action_ff_buffer_rows_are_observed_transitions(monkeypatch):
             assert np.array_equal(spec.step(s, sent_a), s_next), name
             assert np.allclose(spec.clip_action(a), a, rtol=0.0, atol=atol), name
             assert np.allclose(spec.step(s, a), s_next, rtol=0.0, atol=atol), name
+
+
+@pytest.mark.parametrize("model_kind", ["ebm", "action-ff"])
+def test_a_non_finite_plan_fails_at_the_divergence_guard(model_kind):
+    # a NaN planned state after the start reaches the kind's training rows, so
+    # the first update's loss is NaN and the guard ends the run with its line
+    spec = particle_env(start=(0.0, 0.0))
+    config = tiny_config()
+    kind = MODEL_KINDS[model_kind]
+    model = kind.make(spec.state_dim, spec.action_dim, np.random.default_rng(0),
+                      config.hidden_sizes)
+
+    def propose(model, state, rng):
+        planned = state + np.arange(4)[:, None] * np.array([0.01, 0.0])
+        planned[1] = np.nan
+        return planned
+
+    with pytest.raises(ValueError, match="^numerical blow-up: online update 0: loss nan"):
+        run_online(spec, np.array([0.3, 0.3]), config, np.random.default_rng(1), model,
+                   propose, lambda *chunk: kind.fresh_rows(spec, *chunk), kind.train_step)
